@@ -113,7 +113,7 @@ class EventDrivenEngine
      * overlapped with an earlier batch's execution on this engine).
      * Takes the batch by reference: read scheduling reorders per-rank
      * lists in place (idempotently), and the caller keeps ownership of
-     * the value buffers (the pipeline's per-slot arenas).
+     * the value buffers (the pipeline's per-slot pools).
      */
     EventLookupTiming lookupPrepared(PreparedBatch &prepared, Tick start);
 

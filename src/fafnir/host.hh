@@ -9,17 +9,19 @@
  * for every query containing it, the other indices of that query. In
  * no-dedup mode (the Figure 13 ablation) every (query, index) reference
  * issues its own read.
+ *
+ * Prepare runs on the calling thread. Its cost to the simulated system
+ * (including the paper's multi-core host) is modeled by the serving
+ * pipeline (ServingConfig::prepareFixed and friends), not measured from
+ * host threads.
  */
 
 #ifndef FAFNIR_FAFNIR_HOST_HH
 #define FAFNIR_FAFNIR_HOST_HH
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "common/parallel.hh"
-#include "common/stats.hh"
 #include "embedding/layout.hh"
 #include "embedding/query.hh"
 #include "embedding/quantize.hh"
@@ -103,8 +105,7 @@ struct PreparedBatch
  *        occupant's buffers). Contents are identical either way.
  * @param payload transport encoding: non-fp32 formats round-trip every
  *        leaf value through embedding::payloadRoundTrip, so the served
- *        values are a pure function of (store, format) — deterministic
- *        at any worker count.
+ *        values are a pure function of (store, format).
  */
 PreparedBatch prepareBatch(
     const embedding::VectorLayout &layout,
@@ -125,107 +126,6 @@ PreparedBatch prepareBatchReference(
 
 /** Recycle @p prepared's item value buffers into @p pool. */
 void releasePrepared(PreparedBatch &prepared, VectorPool &pool);
-
-/**
- * Multi-worker host prepare pool.
- *
- * Shards the dedup scan by index: worker s scans the whole batch but
- * claims only the references whose index hashes into its shard, so the
- * shards partition the unique-index set and never contend. A serial
- * merge sorts the claimed entries by index, then the emit phase splits
- * the sorted entries into contiguous chunks — per-rank concatenation in
- * chunk order therefore reproduces the index-ascending read order of
- * prepareBatch/prepareBatchReference exactly, making the output
- * bit-identical at any worker count.
- *
- * Determinism notes:
- *  - The shard of an index depends only on its hash and the worker
- *    count, never on thread schedule.
- *  - Value buffers come from per-chunk VectorPools (SlotArenas.pools),
- *    so buffer ownership is chunk-deterministic even though chunks run
- *    on arbitrary pool threads.
- *  - When a fault plan is installed the pool clamps to the serial
- *    prepareBatch path (the plan's RNG and the pool_exhaust hook are
- *    not thread-safe); outputs stay identical because the sharded path
- *    is bit-identical to the serial one.
- *
- * recycleAsync() returns the previous slot occupant's buffers on a pool
- * thread so slot turnaround overlaps the next batch's prepare; the next
- * prepare() on the same SlotArenas waits for that recycle first.
- */
-class PreparePool
-{
-  public:
-    /** Per-pipeline-slot recycling state: one VectorPool per emit chunk
-     *  plus the in-flight async recycle of the slot's previous batch. */
-    struct SlotArenas
-    {
-        std::vector<VectorPool> pools;
-        WorkerPool::TaskHandle pendingRecycle;
-    };
-
-    /** @p workers total prepare workers (>= 1; 1 = serial, no pool). */
-    explicit PreparePool(unsigned workers);
-    ~PreparePool();
-
-    PreparePool(const PreparePool &) = delete;
-    PreparePool &operator=(const PreparePool &) = delete;
-
-    unsigned workers() const { return workers_; }
-
-    /** Arenas for one pipeline slot (pools sized to workers()). */
-    SlotArenas makeSlotArenas() const;
-
-    /**
-     * Compile @p batch; bit-identical to prepareBatch at any worker
-     * count. With @p arenas, waits for the slot's pending recycle and
-     * draws value buffers from its per-chunk pools.
-     */
-    PreparedBatch
-    prepare(const embedding::VectorLayout &layout,
-            const embedding::EmbeddingStore *store,
-            const embedding::Batch &batch, bool dedup,
-            SlotArenas *arenas = nullptr,
-            embedding::PayloadFormat payload =
-                embedding::PayloadFormat::Fp32);
-
-    /** Recycle @p prepared's buffers into @p arenas off-thread (inline
-     *  when serial or when a fault plan is installed). */
-    void recycleAsync(PreparedBatch &&prepared, SlotArenas &arenas);
-
-    /** Block until @p arenas' pending recycle (if any) completes. Call
-     *  before destroying the arenas or reading their pool stats. */
-    void waitRecycle(SlotArenas &arenas);
-
-    /** Per-worker shard/emit counters plus pool-level totals. */
-    void registerStats(StatGroup &group);
-
-  private:
-    struct WorkerStats
-    {
-        /** Unique indices this worker's shard claimed (dedup scans). */
-        Counter claimed;
-        /** Reads emitted by this worker's chunk of the emit phase. */
-        Counter reads;
-    };
-
-    PreparedBatch prepareSharded(const embedding::VectorLayout &layout,
-                                 const embedding::EmbeddingStore *store,
-                                 const embedding::Batch &batch, bool dedup,
-                                 SlotArenas *arenas,
-                                 embedding::PayloadFormat payload);
-
-    static void recycleInto(PreparedBatch &prepared,
-                            std::vector<VectorPool> &pools);
-
-    unsigned workers_ = 1;
-    std::vector<WorkerStats> workerStats_;
-    Counter batches_;
-    Counter serialFallbacks_;
-    Counter asyncRecycles_;
-    /** Null when workers_ == 1 (pure serial, no thread machinery). */
-    std::unique_ptr<WorkerPool> pool_;
-};
 
 /** Compiles batches for the tree. */
 class Host

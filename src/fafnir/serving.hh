@@ -15,23 +15,18 @@
  * Stages are connected by bounded slots so the host prepare of batch
  * k+1 overlaps the tree execution of batch k (double-buffered
  * PreparedBatches; each pipeline slot recycles its value buffers
- * through per-slot VectorPool arenas), and a work-conserving
- * dispatcher shards independent batches across N identical engine
- * replicas (least-loaded or round-robin, pluggable).
+ * through its own VectorPool), and a work-conserving dispatcher shards
+ * independent batches across N identical engine replicas (least-loaded
+ * or round-robin, pluggable). A slot frees at its batch's engine
+ * completion rather than at writeback drain.
  *
- * Host prepare itself runs on a PreparePool of prepareWorkers threads
- * (sharded dedup + chunked emit, bit-identical to the serial path at
- * any worker count), and a slot's arena recycling is handed to a pool
- * thread when its batch completes — slot turnaround is off the
- * writeback path, so a slot frees at engine completion rather than
- * writeback drain.
- *
- * The *simulated* stage timing stays single-threaded tick arithmetic:
- * the modeled prepare cost divides the per-reference term by the
- * worker count (plus a per-shard merge overhead), which keeps served
- * values and all simulated metrics bit-identical at any replica count,
- * pipeline depth, and worker count (the conformance suite pins this,
- * including under an installed fault plan).
+ * The simulator runs every stage on the calling thread; stage timing is
+ * tick arithmetic. The host's prepare workers are a modeled parameter:
+ * the prepare cost divides the per-reference term by prepareWorkers
+ * (plus a per-shard merge overhead). Served values and all simulated
+ * metrics are therefore bit-identical at any replica count, pipeline
+ * depth and worker count (the conformance suite pins this, including
+ * under an installed fault plan).
  *
  * Hedged requests (ROADMAP): with hedgePct > 0, a batch whose primary
  * engine run exceeds the running p-th percentile of observed service
@@ -92,9 +87,9 @@ struct ServingConfig
     std::size_t hedgeWarmup = 8;
     /** Read each unique index once (Section IV-C). */
     bool dedup = true;
-    /** Host prepare workers (>= 1). The real PreparePool shards the
-     *  dedup scan across this many threads; the modeled cost divides
-     *  the per-reference term by the same count. */
+    /** Modeled host prepare workers (>= 1): the prepare cost below
+     *  divides its per-reference term by this count. The simulator
+     *  itself prepares on one thread at any value. */
     unsigned prepareWorkers = 1;
     /** Transport payload encoding for prepared batches (leaf values
      *  round-tripped; engines charge this format's byte widths). */
@@ -106,13 +101,12 @@ struct ServingConfig
      *                + prepareShardOverhead * (prepareWorkers - 1)
      *
      * The flat open-addressing dedup is one probe + one link append
-     * per reference and the sharded scan divides that work across
-     * workers; the shard overhead term charges the serial merge + sort
-     * of each extra shard's claimed entries (micro_serving measures
-     * the wall-clock analogue of both). The constants are calibrated
-     * so a 1-worker prepare of a 384-reference batch costs ~292 ns —
-     * the same as the pre-pool model — and scaling to 4 workers is
-     * ~3x, matching the sharded scan's measured behavior.
+     * per reference, and a host sharding the scan by index divides
+     * that work across workers; the shard overhead term charges the
+     * serial merge + sort of each extra shard's claimed entries. The
+     * constants are calibrated so a 1-worker prepare of a 384-reference
+     * batch costs ~292 ns and scaling to 4 workers is ~3x
+     * (micro_serving gates this modeled curve).
      */
     Tick prepareFixed = 40 * kTicksPerNs;
     Tick preparePerReference = 655;
@@ -249,24 +243,15 @@ class ServingPipeline
 
     const ServingConfig &config() const { return config_; }
 
-    /** Per-slot arena counters, aggregated across the slot's per-chunk
-     *  pools (asserting buffer reuse in tests). Call after serve() —
-     *  the run's pending recycles are drained by then. */
+    /** Per-slot value-buffer pool counters (asserting buffer reuse in
+     *  tests). */
     std::vector<VectorPool::Stats>
     slotPoolStats() const
     {
         std::vector<VectorPool::Stats> stats;
-        stats.reserve(slotArenas_.size());
-        for (const auto &arenas : slotArenas_) {
-            VectorPool::Stats sum;
-            for (const auto &pool : arenas.pools) {
-                sum.acquires += pool.stats().acquires;
-                sum.reuses += pool.stats().reuses;
-                sum.releases += pool.stats().releases;
-                sum.exhaustions += pool.stats().exhaustions;
-            }
-            stats.push_back(sum);
-        }
+        stats.reserve(slotPools_.size());
+        for (const VectorPool &pool : slotPools_)
+            stats.push_back(pool.stats());
         return stats;
     }
 
@@ -279,12 +264,8 @@ class ServingPipeline
     ServingConfig config_;
     std::vector<EngineReplica> &replicas_;
     const embedding::EmbeddingStore *store_;
-    /** Per-slot value-buffer arenas (index = batch % pipelineDepth).
-     *  Declared before preparePool_: the pool's destructor drains any
-     *  async recycle still referencing an arena. */
-    std::vector<PreparePool::SlotArenas> slotArenas_;
-    /** The multi-worker host prepare pool (workers from config). */
-    std::unique_ptr<PreparePool> preparePool_;
+    /** Per-slot value-buffer pools (index = batch % pipelineDepth). */
+    std::vector<VectorPool> slotPools_;
     /** Completed service times (started -> complete), for hedging. */
     std::vector<Tick> serviceHistory_;
 

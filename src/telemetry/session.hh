@@ -81,8 +81,8 @@ struct ServingOptions
     unsigned engines = 0;
     /** Prepared batches in flight (1 = serial rhythm). */
     unsigned pipelineDepth = 2;
-    /** Host prepare-pool workers (clamped to 1 under --trace/--faults
-     *  by the harness: bench::clampParallelism). */
+    /** Modeled host prepare workers (a cost-model parameter, not
+     *  threads; telemetry flags never change it). */
     unsigned prepareWorkers = 1;
     /** "least-loaded" or "round-robin". */
     std::string dispatch = "least-loaded";

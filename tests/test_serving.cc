@@ -4,7 +4,8 @@
  * ordered-map reference bit for bit, pipelined multi-engine serving
  * returns the same values as the serial single-engine path, dispatch
  * policies shard work as specified, hedging fires and never changes
- * values, slot arenas actually recycle buffers, and the back-annotated
+ * values, slot pools actually recycle buffers, the modeled prepare cost
+ * follows its formula at any worker count, and the back-annotated
  * attribution split stays exact.
  */
 
@@ -163,62 +164,23 @@ TEST(PrepareBatch, HashDedupHandlesAdversarialCollisions)
     expectPreparedIdentical(fast, ref);
 }
 
-TEST(PreparePool, ShardedMatchesReferenceAcrossWorkerCounts)
+TEST(PrepareBatch, RecycledPoolKeepsOutputsIdentical)
 {
-    // The tentpole determinism claim: the sharded parallel prepare is
-    // bit-identical to the ordered-map reference at every worker count,
-    // with and without dedup, for skewed and uniform batches.
+    // Steady state: buffers cycle through one VectorPool across many
+    // batches; contents must never depend on buffer provenance.
     EmbeddingStore store(smallTables());
     auto replicas = makeEventReplicas(1, {}, smallTables(),
                                       valueConfig(ReduceOp::Sum), &store);
     const VectorLayout &layout = *replicas[0].layout;
-    for (unsigned workers : {1u, 2u, 4u, 8u}) {
-        PreparePool pool(workers);
-        PreparePool::SlotArenas arenas = pool.makeSlotArenas();
-        for (double skew : {0.9, 0.0}) {
-            for (const Batch &batch : makeBatches(2, 24, 20, 17, skew)) {
-                for (bool dedup : {true, false}) {
-                    PreparedBatch got = pool.prepare(layout, &store,
-                                                     batch, dedup,
-                                                     &arenas);
-                    PreparedBatch ref = prepareBatchReference(
-                        layout, &store, batch, dedup);
-                    SCOPED_TRACE("workers=" + std::to_string(workers) +
-                                 " skew=" + std::to_string(skew) +
-                                 " dedup=" + std::to_string(dedup));
-                    expectPreparedIdentical(got, ref);
-                    pool.recycleAsync(std::move(got), arenas);
-                }
-            }
-        }
-        pool.waitRecycle(arenas);
-    }
-}
-
-TEST(PreparePool, RecycledArenasKeepOutputsIdentical)
-{
-    // Steady state: buffers cycle through the per-chunk pools across
-    // many batches; contents must never depend on buffer provenance.
-    EmbeddingStore store(smallTables());
-    auto replicas = makeEventReplicas(1, {}, smallTables(),
-                                      valueConfig(ReduceOp::Sum), &store);
-    const VectorLayout &layout = *replicas[0].layout;
-    PreparePool pool(4);
-    PreparePool::SlotArenas arenas = pool.makeSlotArenas();
-    const auto batches = makeBatches(12, 16, 24, 29);
-    for (const Batch &batch : batches) {
-        PreparedBatch got =
-            pool.prepare(layout, &store, batch, true, &arenas);
+    VectorPool pool;
+    for (const Batch &batch : makeBatches(12, 16, 24, 29)) {
+        PreparedBatch got = prepareBatch(layout, &store, batch, true, &pool);
         PreparedBatch ref =
             prepareBatchReference(layout, &store, batch, true);
         expectPreparedIdentical(got, ref);
-        pool.recycleAsync(std::move(got), arenas);
+        releasePrepared(got, pool);
     }
-    pool.waitRecycle(arenas);
-    std::uint64_t reuses = 0;
-    for (const auto &vp : arenas.pools)
-        reuses += vp.stats().reuses;
-    EXPECT_GT(reuses, 0u) << "arenas never recycled a buffer";
+    EXPECT_GT(pool.stats().reuses, 0u) << "pool never recycled a buffer";
 }
 
 TEST(ServingPipeline, ValuesBitIdenticalToSerialAllShapes)
@@ -254,58 +216,49 @@ TEST(ServingPipeline, ValuesBitIdenticalToSerialAllShapes)
     }
 }
 
-TEST(ServingPipeline, ParallelPrepareKeepsServedValuesBitIdentical)
+TEST(ServingPipeline, PrepareWorkersOnlyChangeModeledCost)
 {
+    // prepareWorkers is a cost-model parameter: the prepare stage's busy
+    // time is exactly the modeled formula summed over batches, with or
+    // without a fault plan installed, and served values stay equal to
+    // the unfaulted serial reference — timing faults move ticks, never
+    // bits.
     EmbeddingStore store(smallTables());
     const auto batches = makeBatches(8, 16, 24, 61);
     const auto want = serialResults(batches, ReduceOp::Sum, store);
-    for (unsigned workers : {2u, 4u}) {
-        auto replicas = makeEventReplicas(
-            2, {}, smallTables(), valueConfig(ReduceOp::Sum), &store);
-        ServingConfig cfg;
-        cfg.engines = 2;
-        cfg.pipelineDepth = 2;
-        cfg.prepareWorkers = workers;
-        ServingPipeline pipeline(cfg, replicas, &store);
-        auto report = pipeline.serve(batches, kTicksPerUs);
-        ASSERT_EQ(report.batches.size(), batches.size());
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const auto &got = report.batches[b].timing.results;
-            ASSERT_EQ(got.size(), want[b].size());
-            for (std::size_t q = 0; q < got.size(); ++q)
-                EXPECT_TRUE(bitIdentical(got[q], want[b][q]))
-                    << "workers=" << workers << " batch=" << b
-                    << " query=" << q;
-        }
-    }
-}
+    for (unsigned workers : {1u, 4u}) {
+        for (bool faulted : {false, true}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " faulted=" + std::to_string(faulted));
+            fault::FaultPlan plan = fault::FaultPlan::parse(
+                "dram_latency:0.3,event_delay:0.2,pool_exhaust:0.5", 5);
+            fault::ScopedPlanInstall install(faulted ? &plan : nullptr);
+            auto replicas = makeEventReplicas(
+                2, {}, smallTables(), valueConfig(ReduceOp::Sum), &store);
+            ServingConfig cfg;
+            cfg.engines = 2;
+            cfg.prepareWorkers = workers;
+            ServingPipeline pipeline(cfg, replicas, &store);
+            const auto report = pipeline.serve(batches, kTicksPerUs);
 
-TEST(ServingPipeline, ParallelPrepareUnderFaultPlanStaysExact)
-{
-    // With a fault plan installed the PreparePool must clamp to the
-    // serial path (the plan's RNG streams are not thread-safe) and the
-    // served values must still match the unfaulted serial reference —
-    // timing faults move ticks, never bits.
-    EmbeddingStore store(smallTables());
-    const auto batches = makeBatches(6, 12, 16, 67);
-    const auto want = serialResults(batches, ReduceOp::Sum, store);
-    fault::FaultPlan plan =
-        fault::FaultPlan::parse("dram_latency:0.3,event_delay:0.2", 5);
-    fault::ScopedPlanInstall install(&plan);
-    auto replicas = makeEventReplicas(2, {}, smallTables(),
-                                      valueConfig(ReduceOp::Sum), &store);
-    ServingConfig cfg;
-    cfg.engines = 2;
-    cfg.prepareWorkers = 4;
-    ServingPipeline pipeline(cfg, replicas, &store);
-    auto report = pipeline.serve(batches, kTicksPerUs);
-    ASSERT_EQ(report.batches.size(), batches.size());
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        const auto &got = report.batches[b].timing.results;
-        ASSERT_EQ(got.size(), want[b].size());
-        for (std::size_t q = 0; q < got.size(); ++q)
-            EXPECT_TRUE(bitIdentical(got[q], want[b][q]))
-                << "batch=" << b << " query=" << q;
+            const auto pw = static_cast<Tick>(workers);
+            Tick expected = 0;
+            for (const Batch &batch : batches)
+                expected += cfg.prepareFixed +
+                            cfg.preparePerReference *
+                                batch.totalIndices() / pw +
+                            cfg.prepareShardOverhead * (pw - 1);
+            EXPECT_EQ(report.prepareBusy, expected);
+
+            ASSERT_EQ(report.batches.size(), batches.size());
+            for (std::size_t b = 0; b < batches.size(); ++b) {
+                const auto &got = report.batches[b].timing.results;
+                ASSERT_EQ(got.size(), want[b].size());
+                for (std::size_t q = 0; q < got.size(); ++q)
+                    EXPECT_TRUE(bitIdentical(got[q], want[b][q]))
+                        << "batch=" << b << " query=" << q;
+            }
+        }
     }
 }
 
@@ -367,7 +320,7 @@ TEST(ServingPipeline, FourReplicasOutpaceOne)
     EXPECT_GT(four, 2.0 * one);
 }
 
-TEST(ServingPipeline, SlotArenasRecycleBuffers)
+TEST(ServingPipeline, SlotPoolsRecycleBuffers)
 {
     EmbeddingStore store(smallTables());
     const auto batches = makeBatches(8, 16, 24, 33);
@@ -381,7 +334,7 @@ TEST(ServingPipeline, SlotArenasRecycleBuffers)
     for (const auto &stats : pipeline.slotPoolStats()) {
         EXPECT_GT(stats.acquires, 0u);
         EXPECT_GT(stats.reuses, 0u)
-            << "slot arena never recycled a buffer";
+            << "slot pool never recycled a buffer";
     }
 }
 

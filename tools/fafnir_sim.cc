@@ -35,7 +35,6 @@
 #include <sstream>
 
 #include "baselines/cpu.hh"
-#include "bench/bench_util.hh"
 #include "baselines/recnmp.hh"
 #include "baselines/tensordimm.hh"
 #include "baselines/two_step.hh"
@@ -101,6 +100,92 @@ tableConfig()
     return {32, 1u << 20, 512, 4};
 }
 
+/** DDR4 ranks (--ranks) or HBM2 pseudo channels (--hbm). */
+core::ReplicaMemoryConfig
+memoryConfig(const Options &opt)
+{
+    core::ReplicaMemoryConfig mem;
+    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
+                           : dram::Geometry::withTotalRanks(opt.ranks);
+    mem.timing = opt.hbm ? dram::Timing::hbm2()
+                         : dram::Timing::ddr4_2400();
+    return mem;
+}
+
+/** The lookup batch stream the workload flags describe. */
+std::vector<embedding::Batch>
+makeBatches(const Options &opt, const embedding::TableConfig &tables)
+{
+    embedding::WorkloadConfig wc;
+    wc.tables = tables;
+    wc.batchSize = opt.batch;
+    wc.querySize = opt.querySize;
+    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
+                                 : embedding::Popularity::Uniform;
+    wc.zipfSkew = opt.skew;
+    wc.hotFraction = opt.hotFraction;
+    embedding::BatchGenerator gen(wc, opt.seed);
+    std::vector<embedding::Batch> batches;
+    for (unsigned i = 0; i < opt.batches; ++i)
+        batches.push_back(gen.next());
+    return batches;
+}
+
+/** The ServingConfig fields both serving paths take from the flags:
+ *  depth, --dispatch, --hedge-pct, the modeled --prepare-workers, and
+ *  the lookup mode's dedup/payload. */
+void
+applyServingOptions(const Options &opt, const telemetry::ServingOptions &so,
+                    core::ServingConfig &sc)
+{
+    sc.pipelineDepth = so.pipelineDepth;
+    sc.hedgePct = so.hedgePct;
+    sc.dedup = opt.dedup;
+    sc.payload = opt.payload;
+    sc.prepareWorkers = std::max(1u, so.prepareWorkers);
+    if (so.dispatch == "least-loaded")
+        sc.dispatch = core::DispatchPolicy::LeastLoaded;
+    else if (so.dispatch == "round-robin")
+        sc.dispatch = core::DispatchPolicy::RoundRobin;
+    else
+        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
+                     "' (expected least-loaded or round-robin)");
+}
+
+/** Payload bytes and codec work summed over served batches, and the
+ *  link energy they cost. */
+struct PayloadTotals
+{
+    std::uint64_t dram = 0;
+    std::uint64_t link = 0;
+    std::uint64_t codecOps = 0;
+
+    template <typename Timing>
+    void
+    add(const Timing &t)
+    {
+        dram += t.dramPayloadBytes;
+        link += t.linkPayloadBytes;
+        codecOps += t.activity.dequants + t.activity.requants;
+    }
+
+    double
+    linkEnergyUj(unsigned dim) const
+    {
+        return hwmodel::LinkEnergyModel{}.energyNj(link, codecOps, dim) /
+               1000.0;
+    }
+
+    void
+    setMetrics(telemetry::RunReport &run, unsigned dim) const
+    {
+        run.setMetric("dramPayloadBytes", static_cast<double>(dram));
+        run.setMetric("linkPayloadBytes", static_cast<double>(link));
+        run.setMetric("payloadCodecOps", static_cast<double>(codecOps));
+        run.setMetric("linkEnergyUj", linkEnergyUj(dim));
+    }
+};
+
 /**
  * Store-side reference for one query under quantized transport: every
  * vector round-trips the payload codec once (exactly as the leaf rank
@@ -137,28 +222,12 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 {
     telemetry::RunReport &run = session.report();
     EventQueue eq;
-    const dram::Geometry geometry = opt.hbm
-        ? dram::Geometry::hbm2()
-        : dram::Geometry::withTotalRanks(opt.ranks);
-    const dram::Timing timing =
-        opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
-    dram::MemorySystem memory(eq, geometry, timing,
-                              dram::Interleave::BlockRank, 512);
+    const core::ReplicaMemoryConfig mem = memoryConfig(opt);
+    dram::MemorySystem memory(eq, mem.geometry, mem.timing, mem.interleave,
+                              mem.blockBytes);
     const embedding::TableConfig tables = tableConfig();
     const embedding::VectorLayout layout(tables, memory.mapper());
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
+    std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     // Armed query hooks corrupt the stream before admission, modeling
     // buggy or hostile clients.
@@ -327,20 +396,7 @@ runPipelinedLookup(const Options &opt,
 
     core::ServingConfig sc;
     sc.engines = so.engines;
-    sc.pipelineDepth = so.pipelineDepth;
-    sc.hedgePct = so.hedgePct;
-    sc.dedup = opt.dedup;
-    sc.payload = opt.payload;
-    sc.prepareWorkers = std::max(
-        1u, bench::clampParallelism(so.prepareWorkers,
-                                    "--prepare-workers"));
-    if (so.dispatch == "least-loaded")
-        sc.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (so.dispatch == "round-robin")
-        sc.dispatch = core::DispatchPolicy::RoundRobin;
-    else
-        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
-                     "' (expected least-loaded or round-robin)");
+    applyServingOptions(opt, so, sc);
 
     telemetry::RunReport &run = session.report();
     run.setConfig("serveEngines",
@@ -352,31 +408,13 @@ runPipelinedLookup(const Options &opt,
     run.setConfig("prepareWorkers",
                   static_cast<std::uint64_t>(sc.prepareWorkers));
 
-    core::ReplicaMemoryConfig mem;
-    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
-                           : dram::Geometry::withTotalRanks(opt.ranks);
-    mem.timing = opt.hbm ? dram::Timing::hbm2()
-                         : dram::Timing::ddr4_2400();
     const embedding::TableConfig tables = tableConfig();
-
     core::EventEngineConfig ecfg;
     ecfg.base.dedup = opt.dedup;
     ecfg.base.interactive = opt.interactive;
-    std::vector<core::EngineReplica> replicas =
-        core::makeEventReplicas(so.engines, mem, tables, ecfg, nullptr);
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
+    std::vector<core::EngineReplica> replicas = core::makeEventReplicas(
+        so.engines, memoryConfig(opt), tables, ecfg, nullptr);
+    const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     core::ServingPipeline pipeline(sc, replicas, nullptr);
     const core::PipelineReport served = pipeline.serve(batches, 0);
@@ -408,17 +446,9 @@ runPipelinedLookup(const Options &opt,
         replicas[e].engine->registerStats(
             registry.group("tree.engine" + std::to_string(e)));
 
-    std::uint64_t dram_payload = 0, link_payload = 0, codec_ops = 0;
-    for (const auto &trace : served.batches) {
-        dram_payload += trace.timing.dramPayloadBytes;
-        link_payload += trace.timing.linkPayloadBytes;
-        codec_ops +=
-            trace.timing.activity.dequants + trace.timing.activity.requants;
-    }
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
+    PayloadTotals payload;
+    for (const auto &trace : served.batches)
+        payload.add(trace.timing);
 
     run.setMetric("totalUs", us_total);
     run.setMetric("nsPerQuery", us_total * 1000.0 / queries);
@@ -426,10 +456,7 @@ runPipelinedLookup(const Options &opt,
     run.setMetric("hedgesIssued",
                   static_cast<double>(served.hedgesIssued));
     run.setMetric("hedgesWon", static_cast<double>(served.hedgesWon));
-    run.setMetric("dramPayloadBytes", static_cast<double>(dram_payload));
-    run.setMetric("linkPayloadBytes", static_cast<double>(link_payload));
-    run.setMetric("payloadCodecOps", static_cast<double>(codec_ops));
-    run.setMetric("linkEnergyUj", link_uj);
+    payload.setMetrics(run, tables.dim());
     return session.finish();
 }
 
@@ -455,20 +482,7 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     tc.shards = so.shards;
     tc.placement = core::parsePlacement(so.placement);
     tc.serving.engines = std::max(1u, so.shardReplicas);
-    tc.serving.pipelineDepth = so.pipelineDepth;
-    tc.serving.hedgePct = so.hedgePct;
-    tc.serving.dedup = opt.dedup;
-    tc.serving.payload = opt.payload;
-    tc.serving.prepareWorkers = std::max(
-        1u, bench::clampParallelism(so.prepareWorkers,
-                                    "--prepare-workers"));
-    if (so.dispatch == "least-loaded")
-        tc.serving.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (so.dispatch == "round-robin")
-        tc.serving.dispatch = core::DispatchPolicy::RoundRobin;
-    else
-        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
-                     "' (expected least-loaded or round-robin)");
+    applyServingOptions(opt, so, tc.serving);
 
     telemetry::RunReport &run = session.report();
     run.setConfig("shards", static_cast<std::uint64_t>(tc.shards));
@@ -482,34 +496,16 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     run.setConfig("prepareWorkers",
                   static_cast<std::uint64_t>(tc.serving.prepareWorkers));
 
-    core::ReplicaMemoryConfig mem;
-    mem.geometry = opt.hbm ? dram::Geometry::hbm2()
-                           : dram::Geometry::withTotalRanks(opt.ranks);
-    mem.timing = opt.hbm ? dram::Timing::hbm2()
-                         : dram::Timing::ddr4_2400();
     const embedding::TableConfig tables = tableConfig();
     const embedding::EmbeddingStore store(tables);
-
     core::EventEngineConfig ecfg;
     ecfg.base.dedup = opt.dedup;
     ecfg.base.interactive = opt.interactive;
     ecfg.computeValues = true;
     std::vector<std::vector<core::EngineReplica>> groups =
-        core::makeShardReplicas(tc.shards, tc.serving.engines, mem,
-                                tables, ecfg, &store);
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
+        core::makeShardReplicas(tc.shards, tc.serving.engines,
+                                memoryConfig(opt), tables, ecfg, &store);
+    const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     core::ShardedServingTier tier(tc, groups, &store);
     const core::ShardedReport served = tier.serve(batches, 0);
@@ -591,19 +587,10 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     // Payload byte/energy accounting telescopes over the per-shard
     // pipeline traces (the tier itself moves only combined partials).
-    std::uint64_t dram_payload = 0, link_payload = 0, codec_ops = 0;
-    for (const core::PipelineReport &shard : served.perShard) {
-        for (const auto &trace : shard.batches) {
-            dram_payload += trace.timing.dramPayloadBytes;
-            link_payload += trace.timing.linkPayloadBytes;
-            codec_ops += trace.timing.activity.dequants +
-                         trace.timing.activity.requants;
-        }
-    }
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
+    PayloadTotals payload;
+    for (const core::PipelineReport &shard : served.perShard)
+        for (const auto &trace : shard.batches)
+            payload.add(trace.timing);
 
     run.setMetric("totalUs", us_total);
     run.setMetric("batchesPerSec", served.requestsPerSecond());
@@ -612,10 +599,7 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     run.setMetric("shardImbalance", served.loadImbalance());
     run.setMetric("valueMismatches", static_cast<double>(mismatches));
     run.setMetric("rebalanceMoves", static_cast<double>(moves.size()));
-    run.setMetric("dramPayloadBytes", static_cast<double>(dram_payload));
-    run.setMetric("linkPayloadBytes", static_cast<double>(link_payload));
-    run.setMetric("payloadCodecOps", static_cast<double>(codec_ops));
-    run.setMetric("linkEnergyUj", link_uj);
+    payload.setMetrics(run, tables.dim());
     return session.finish();
 }
 
@@ -624,38 +608,20 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
 {
     telemetry::RunReport &run = session.report();
     EventQueue eq;
-    const dram::Geometry geometry = opt.hbm
-        ? dram::Geometry::hbm2()
-        : dram::Geometry::withTotalRanks(opt.ranks);
-    const dram::Timing timing =
-        opt.hbm ? dram::Timing::hbm2() : dram::Timing::ddr4_2400();
-    dram::MemorySystem memory(eq, geometry, timing,
-                              dram::Interleave::BlockRank, 512);
+    const core::ReplicaMemoryConfig mem = memoryConfig(opt);
+    dram::MemorySystem memory(eq, mem.geometry, mem.timing, mem.interleave,
+                              mem.blockBytes);
     dram::CommandLog cmdlog;
     if (session.traceSink() != nullptr)
         memory.attachCommandLog(&cmdlog);
     const embedding::TableConfig tables = tableConfig();
     const embedding::VectorLayout layout(tables, memory.mapper());
-
-    embedding::WorkloadConfig wc;
-    wc.tables = tables;
-    wc.batchSize = opt.batch;
-    wc.querySize = opt.querySize;
-    wc.popularity = opt.skew > 0 ? embedding::Popularity::Zipfian
-                                 : embedding::Popularity::Uniform;
-    wc.zipfSkew = opt.skew;
-    wc.hotFraction = opt.hotFraction;
-    embedding::BatchGenerator gen(wc, opt.seed);
-    std::vector<embedding::Batch> batches;
-    for (unsigned i = 0; i < opt.batches; ++i)
-        batches.push_back(gen.next());
+    const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     Tick complete = 0;
     std::size_t reads = 0;
     std::size_t references = 0;
-    std::uint64_t dram_payload = 0;
-    std::uint64_t link_payload = 0;
-    std::uint64_t codec_ops = 0;
+    PayloadTotals payload;
     std::vector<Tick> batch_latency;
     Distribution batch_latency_us;
 
@@ -666,11 +632,8 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
             batch_latency.push_back(t.totalTime());
             batch_latency_us.sample(
                 static_cast<double>(t.totalTime()) / kTicksPerUs);
-            if constexpr (requires { t.dramPayloadBytes; }) {
-                dram_payload += t.dramPayloadBytes;
-                link_payload += t.linkPayloadBytes;
-                codec_ops += t.activity.dequants + t.activity.requants;
-            }
+            if constexpr (requires { t.dramPayloadBytes; })
+                payload.add(t);
         }
     };
 
@@ -776,19 +739,15 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
                 e.dramUj, e.ndpUj, e.hostIoUj, e.total(),
                 e.total() * 1000.0 / queries);
 
-    const hwmodel::LinkEnergyModel link_energy;
-    const double link_uj =
-        link_energy.energyNj(link_payload, codec_ops, tables.dim()) /
-        1000.0;
     if (opt.engine == "analytic" || opt.engine == "event") {
         std::printf("payload: %s (%zu B/vector vs %u fp32), "
                     "%.2f MB dram, %.2f MB links, %.2f uJ link energy\n",
                     embedding::payloadFormatName(opt.payload),
                     embedding::payloadBytes(opt.payload, tables.dim()),
                     tables.vectorBytes,
-                    static_cast<double>(dram_payload) / 1e6,
-                    static_cast<double>(link_payload) / 1e6,
-                    link_uj);
+                    static_cast<double>(payload.dram) / 1e6,
+                    static_cast<double>(payload.link) / 1e6,
+                    payload.linkEnergyUj(tables.dim()));
     }
 
     // Differential value + accuracy pass over the computed results.
@@ -905,15 +864,8 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     run.setMetric("references", static_cast<double>(references));
     run.setMetric("energyUj", e.total());
     run.setMetric("energyNjPerQuery", e.total() * 1000.0 / queries);
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        run.setMetric("dramPayloadBytes",
-                      static_cast<double>(dram_payload));
-        run.setMetric("linkPayloadBytes",
-                      static_cast<double>(link_payload));
-        run.setMetric("payloadCodecOps",
-                      static_cast<double>(codec_ops));
-        run.setMetric("linkEnergyUj", link_uj);
-    }
+    if (opt.engine == "analytic" || opt.engine == "event")
+        payload.setMetrics(run, tables.dim());
 
     if (auto *ts = session.traceSink())
         dram::writeTrace(cmdlog, *ts);
