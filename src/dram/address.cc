@@ -23,6 +23,15 @@ AddressMapper::AddressMapper(const Geometry &geometry, Interleave policy,
     FAFNIR_ASSERT(isPowerOf2(geometry_.dimmsPerChannel) &&
                       isPowerOf2(geometry_.ranksPerDimm),
                   "per-channel geometry must be powers of two");
+    // BlockRank keeps a block on one rank and row, its bursts on
+    // consecutive columns. LineChannel puts the column bits right above
+    // the channel bits, so bursts step the column only with one channel.
+    if (policy_ == Interleave::BlockRank)
+        columnRun_ = blockBytes_;
+    else if (geometry_.channels == 1)
+        columnRun_ = geometry_.rowBytes;
+    else
+        columnRun_ = geometry_.burstBytes;
 }
 
 unsigned

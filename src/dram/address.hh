@@ -80,6 +80,36 @@ class AddressMapper
     Coordinates decode(Addr addr) const;
 
     /**
+     * Visit the coordinates of every burst of [addr, addr + bytes) in
+     * address order, and return the first burst's. Only the first burst
+     * of each column run is decoded: inside a run (an aligned span in
+     * which consecutive bursts differ only in column) the next burst's
+     * column is the previous one plus a burst. Coordinates equal
+     * decode() burst by burst.
+     */
+    template <typename Visit>
+    Coordinates
+    forEachBurst(Addr addr, unsigned bytes, Visit &&visit) const
+    {
+        const Addr burst = geometry_.burstBytes;
+        Addr a = addr & ~(burst - 1);
+        const Addr last = (addr + bytes - 1) & ~(burst - 1);
+        const Coordinates head = decode(a);
+        Coordinates c = head;
+        while (true) {
+            visit(c);
+            if (a == last)
+                return head;
+            a += burst;
+            if ((a & (columnRun_ - 1)) == 0) {
+                c = decode(a);
+            } else {
+                c.column += static_cast<unsigned>(burst);
+            }
+        }
+    }
+
+    /**
      * Compose an address from coordinates (inverse of decode for
      * burst-aligned addresses).
      */
@@ -96,6 +126,8 @@ class AddressMapper
     Geometry geometry_;
     Interleave policy_;
     unsigned blockBytes_;
+    /** Bytes of one column run (see forEachBurst). */
+    Addr columnRun_;
 };
 
 /** Human-readable coordinates, for debugging and test failure messages. */

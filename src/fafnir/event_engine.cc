@@ -159,7 +159,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     for (unsigned pe = 1; pe <= num_pes; ++pe) {
         PeRun &state = pes[pe];
         const PeTrace &trace = run.trace[pe];
-        state.expected = {trace.inputsA.size(), trace.inputsB.size()};
+        state.expected = {trace.inputs[0], trace.inputs[1]};
         for (int side = 0; side < 2; ++side) {
             state.arrival[side].assign(state.expected[side], MaxTick);
             state.remainingUses[side].assign(state.expected[side], 0);
@@ -229,7 +229,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
                 if (state.emitted[k])
                     continue;
-                const PeOutput &out = trace.outputs[k];
+                const PeTraceOutput &out = trace.outputs[k];
 
                 // All provenance must have arrived.
                 Tick ready = start;
@@ -308,7 +308,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                 if (ts) {
                     // Tagged with the item's originating query ids and
                     // the causal flow of the arrival that unblocked it.
-                    const auto qids = out.item.queryIds();
+                    const auto &qids = out.queries;
                     ts->completeEvent(
                         telemetry::kPidTree, static_cast<int>(pe), "pe",
                         is_reduce ? "reduce" : "forward", emit,
@@ -439,14 +439,14 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     }
 
     // --- Per-query completion and root-link serialization. --------------
-    const std::size_t num_queries = prepared.querySets.size();
+    const std::size_t num_queries = prepared.sets.numQueries();
     std::vector<std::pair<Tick, QueryId>> finish_order;
     finish_order.reserve(num_queries);
     std::vector<Tick> query_ready(num_queries, start);
     for (QueryId q = 0; q < num_queries; ++q) {
         Tick tq = start;
         for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-            if (run.rootOutputs[k].item.findQuery(q)) {
+            if (run.rootOutputs[k].item.hasQuery(q)) {
                 FAFNIR_ASSERT(root_times[k] != MaxTick,
                               "root output never emitted");
                 tq = std::max(tq, root_times[k]);
@@ -499,7 +499,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             std::size_t k_last = run.rootOutputs.size();
             Tick t_last = 0;
             for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-                if (run.rootOutputs[k].item.findQuery(q) &&
+                if (run.rootOutputs[k].item.hasQuery(q) &&
                     (k_last == run.rootOutputs.size() ||
                      root_times[k] > t_last)) {
                     k_last = k;
@@ -517,7 +517,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             std::size_t leaf_index = 0;
             while (true) {
                 path.push_back({pe, k});
-                const PeOutput &out = run.trace[pe].outputs[k];
+                const PeTraceOutput &out = run.trace[pe].outputs[k];
                 const Provenance *bind = nullptr;
                 Tick best = 0;
                 for (const Provenance &src : out.sources) {
@@ -551,7 +551,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             Tick forward_wait = 0;
             Tick prev = lr.complete;
             for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                const PeOutput &out = run.trace[it->pe].outputs[it->out];
+                const PeTraceOutput &out =
+                    run.trace[it->pe].outputs[it->out];
                 const Cycles cycles =
                     (out.action == PeAction::Reduce ? lat.reducePath()
                                                     : lat.forwardPath()) +

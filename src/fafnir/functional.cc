@@ -18,9 +18,9 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
                     bool keep_trace, embedding::ReduceOp op) const
 {
     const unsigned num_pes = topology_.numPes();
-    const unsigned num_leaves = topology_.numLeafPes();
 
     TreeRun run;
+    run.sets = prepared.sets;
     if (keep_trace)
         run.trace.resize(num_pes + 1);
 
@@ -52,15 +52,20 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
 
         PeActivity activity;
         std::vector<PeOutput> pe_out = ProcessingElement::process(
-            *a, *b, activity, values, op, &pool, prepared.payload);
+            run.sets, *a, *b, activity, values, op, &pool,
+            prepared.payload);
         run.total += activity;
         run.maxPeOutputs = std::max(run.maxPeOutputs, pe_out.size());
 
         if (keep_trace) {
-            run.trace[pe].inputsA = *a;
-            run.trace[pe].inputsB = *b;
-            run.trace[pe].outputs = pe_out;
-            run.trace[pe].activity = activity;
+            PeTrace &trace = run.trace[pe];
+            trace.inputs[0] = a->size();
+            trace.inputs[1] = b->size();
+            trace.outputs.reserve(pe_out.size());
+            for (const PeOutput &out : pe_out)
+                trace.outputs.push_back(
+                    {out.action, out.sources, out.item.queries});
+            trace.activity = activity;
         }
 
         if (pe == TreeTopology::rootPe()) {
@@ -84,24 +89,27 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         if (pe == 1)
             break; // unsigned loop guard
     }
-    (void)num_leaves;
 
     // Root output stage: per query, sum its (disjoint) partial items.
-    const std::size_t num_queries = prepared.querySets.size();
+    IndexSetTable &sets = run.sets;
+    const std::size_t num_queries = sets.numQueries();
     run.results.resize(num_queries);
     run.rootItemsPerQuery.assign(num_queries, 0);
     for (QueryId q = 0; q < num_queries; ++q) {
-        IndexSet covered;
+        SetId covered = IndexSetTable::kEmptySet;
         embedding::Vector acc;
         for (const auto &out : run.rootOutputs) {
-            if (!out.item.findQuery(q))
+            if (!out.item.hasQuery(q))
                 continue;
             ++run.rootItemsPerQuery[q];
-            FAFNIR_ASSERT(covered.disjointWith(out.item.indices),
+            const SetId grown = sets.unite(covered, out.item.indices);
+            FAFNIR_ASSERT(sets.size(grown) ==
+                              sets.size(covered) +
+                                  sets.size(out.item.indices),
                           "query ", q, ": overlapping root items — ",
-                          covered.toString(), " vs ",
-                          out.item.indices.toString());
-            covered = covered.disjointUnion(out.item.indices);
+                          sets.indexSet(covered).toString(), " vs ",
+                          sets.indexSet(out.item.indices).toString());
+            covered = grown;
             if (values && !out.item.value.empty()) {
                 if (acc.empty()) {
                     acc = out.item.value;
@@ -115,13 +123,16 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         FAFNIR_ASSERT(run.rootItemsPerQuery[q] >= 1,
                       "query ", q, " produced no root items");
         run.rootCombines += run.rootItemsPerQuery[q] - 1;
-        FAFNIR_ASSERT(covered == prepared.querySets[q],
+        const auto got = sets.slots(covered);
+        const auto want = sets.slots(sets.querySet(q));
+        FAFNIR_ASSERT(std::equal(got.begin(), got.end(), want.begin(),
+                                 want.end()),
                       "query ", q, " incomplete at root: got ",
-                      covered.toString(), ", want ",
-                      prepared.querySets[q].toString());
+                      sets.indexSet(covered).toString(), ", want ",
+                      sets.indexSet(sets.querySet(q)).toString());
         // Mean is a Sum through the tree, scaled at the root output.
         embedding::finalizeSpan(op, acc.data(), acc.size(),
-                                covered.size());
+                                sets.size(covered));
         run.results[q] = std::move(acc);
     }
 

@@ -30,18 +30,33 @@
 namespace fafnir::core
 {
 
-/** Captured inputs/outputs of one PE for one batch. */
+/** One traced PE output: what the timing engines replay. */
+struct PeTraceOutput
+{
+    PeAction action = PeAction::Forward;
+    SmallVec<Provenance, 2> sources;
+    /** Ids of the queries the output serves (attribution tags). */
+    SmallVec<QueryId, 2> queries;
+};
+
+/** Captured shape of one PE for one batch. */
 struct PeTrace
 {
-    std::vector<Item> inputsA;
-    std::vector<Item> inputsB;
-    std::vector<PeOutput> outputs;
+    /** Entries delivered on input A ([0]) and input B ([1]). */
+    std::size_t inputs[2] = {0, 0};
+    /** Post-merge outputs in issue order. */
+    std::vector<PeTraceOutput> outputs;
     PeActivity activity;
 };
 
 /** Result of evaluating one batch. */
 struct TreeRun
 {
+    /**
+     * The batch's index sets plus every union the run formed; the
+     * headers of rootOutputs index into it.
+     */
+    IndexSetTable sets;
     /** Root output items (post-merge). */
     std::vector<PeOutput> rootOutputs;
     /** Reduced vector per query id; empty vectors in timing-only runs. */
@@ -72,7 +87,8 @@ class FunctionalTree
      * Evaluate @p prepared.
      * @param values combine vector values (functional checking) or headers
      *        only (timing runs).
-     * @param keep_trace retain per-PE inputs/outputs for the timing engine.
+     * @param keep_trace retain per-PE input counts and outputs for the
+     *        timing engines.
      * @param op element-wise reduction operator (Mean is finalized at the
      *        root output stage).
      */

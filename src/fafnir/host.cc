@@ -44,44 +44,51 @@ struct PrepareContext
     const embedding::VectorLayout &layout;
     const embedding::EmbeddingStore *store;
     VectorPool *pool;
-    /** Reference mode computes residuals via std::set_difference
-     *  (IndexSet::minus) instead of the SIMD header-build kernel, so
-     *  differential tests compare the two implementations. */
-    bool reference;
     PreparedBatch prepared;
 
     PrepareContext(const embedding::VectorLayout &lay,
                    const embedding::EmbeddingStore *st,
                    const embedding::Batch &batch, VectorPool *pl,
-                   bool ref = false,
-                   embedding::PayloadFormat fmt =
-                       embedding::PayloadFormat::Fp32)
-        : layout(lay), store(st), pool(pl), reference(ref)
+                   embedding::PayloadFormat fmt)
+        : layout(lay), store(st), pool(pl)
     {
         batch.check();
         prepared.payload = fmt;
         prepared.rankReads.resize(lay.mapper().geometry().totalRanks());
         prepared.totalReferences = batch.totalIndices();
-        prepared.querySets.reserve(batch.size());
-        for (const auto &q : batch.queries)
-            prepared.querySets.emplace_back(q.indices);
     }
 
-    IndexSet
-    residualOf(QueryId q, IndexId index) const
+    /**
+     * Install the batch's slots (@p unique, ascending) and intern every
+     * query's full set. @p slot_of(r, index) is the slot of the r-th
+     * reference of the batch, which is @p index.
+     */
+    template <typename SlotOf>
+    void
+    buildSets(const embedding::Batch &batch, std::vector<IndexId> unique,
+              SlotOf slot_of)
     {
-        if (reference)
-            return prepared.querySets[q].minus(IndexSet::single(index));
-        return prepared.querySets[q].minusOne(index);
+        prepared.uniqueCount = unique.size();
+        prepared.sets = IndexSetTable(std::move(unique));
+        std::vector<std::uint32_t> slots;
+        std::size_t ref = 0;
+        for (const auto &q : batch.queries) {
+            slots.clear();
+            for (IndexId index : q.indices)
+                slots.push_back(slot_of(ref++, index));
+            // Sorted, distinct query indices map to a sorted slot list.
+            prepared.sets.addQuery(prepared.sets.intern(slots));
+        }
     }
 
     void
-    makeRead(IndexId index, SmallVec<QueryResidual, 2> queries)
+    makeRead(IndexId index, std::uint32_t slot,
+             SmallVec<QueryId, 2> queries)
     {
         RankRead read;
         read.index = index;
         read.address = layout.addressOf(index);
-        read.item.indices = IndexSet::single(index);
+        read.item.indices = IndexSetTable::single(slot);
         read.item.queries = std::move(queries);
         if (store) {
             if (pool) {
@@ -106,18 +113,6 @@ struct PrepareContext
     }
 
     void
-    emitDedupRead(IndexId index, const QueryId *users, std::size_t count)
-    {
-        SmallVec<QueryResidual, 2> residuals;
-        residuals.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            const QueryId q = users[i];
-            residuals.push_back({q, residualOf(q, index)});
-        }
-        makeRead(index, std::move(residuals));
-    }
-
-    void
     emitNoDedup(const embedding::Batch &batch)
     {
         // uniqueCount is still reported in no-dedup mode (it is the
@@ -130,11 +125,15 @@ struct PrepareContext
         std::sort(distinct.begin(), distinct.end());
         distinct.erase(std::unique(distinct.begin(), distinct.end()),
                        distinct.end());
-        prepared.uniqueCount = distinct.size();
+        const IndexSetTable &sets = prepared.sets;
+        buildSets(batch, std::move(distinct),
+                  [&sets](std::size_t, IndexId index) {
+                      return sets.slotOf(index);
+                  });
 
         for (const auto &q : batch.queries)
             for (IndexId index : q.indices)
-                makeRead(index, {{q.id, residualOf(q.id, index)}});
+                makeRead(index, sets.slotOf(index), {q.id});
     }
 };
 
@@ -155,6 +154,8 @@ hashCapacityFor(std::size_t references)
 struct DedupEntry
 {
     IndexId index;
+    /** Position in first-seen order (the entry's id before sorting). */
+    std::uint32_t id;
     std::uint32_t head;
     std::uint32_t tail;
     std::uint32_t count;
@@ -166,7 +167,7 @@ struct DedupLink
     std::uint32_t next;
 };
 
-/** The 32-bit Fibonacci hash of an index; the table slot is its low
+/** The 32-bit Fibonacci hash of an index; the table bucket is its low
  *  bits (& mask). */
 inline std::uint32_t
 indexHash32(IndexId index)
@@ -184,7 +185,7 @@ prepareBatch(const embedding::VectorLayout &layout,
              const embedding::Batch &batch, bool dedup, VectorPool *pool,
              embedding::PayloadFormat payload)
 {
-    PrepareContext ctx(layout, store, batch, pool, /*ref=*/false, payload);
+    PrepareContext ctx(layout, store, batch, pool, payload);
     if (!dedup) {
         ctx.emitNoDedup(batch);
         FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
@@ -203,31 +204,35 @@ prepareBatch(const embedding::VectorLayout &layout,
     const std::size_t refs = ctx.prepared.totalReferences;
     const std::size_t capacity = hashCapacityFor(refs);
     const std::size_t mask = capacity - 1;
-    std::vector<std::uint32_t> slots(capacity, kEmpty);
+    std::vector<std::uint32_t> buckets(capacity, kEmpty);
     std::vector<DedupEntry> entries;
     entries.reserve(refs);
     std::vector<DedupLink> links;
     links.reserve(refs);
+    // Entry id of every reference, in batch order.
+    std::vector<std::uint32_t> ref_entry;
+    ref_entry.reserve(refs);
 
     for (const auto &q : batch.queries) {
         for (IndexId index : q.indices) {
             // Fibonacci hashing spreads consecutive ids across the table.
-            std::size_t slot = indexHash32(index) & mask;
+            std::size_t bucket = indexHash32(index) & mask;
             std::uint32_t entry_id;
             while (true) {
-                const std::uint32_t occupant = slots[slot];
+                const std::uint32_t occupant = buckets[bucket];
                 if (occupant == kEmpty) {
                     entry_id = static_cast<std::uint32_t>(entries.size());
-                    slots[slot] = entry_id;
-                    entries.push_back({index, kEmpty, kEmpty, 0});
+                    buckets[bucket] = entry_id;
+                    entries.push_back({index, entry_id, kEmpty, kEmpty, 0});
                     break;
                 }
                 if (entries[occupant].index == index) {
                     entry_id = occupant;
                     break;
                 }
-                slot = (slot + 1) & mask;
+                bucket = (bucket + 1) & mask;
             }
+            ref_entry.push_back(entry_id);
             DedupEntry &entry = entries[entry_id];
             const auto link_id = static_cast<std::uint32_t>(links.size());
             links.push_back({q.id, kEmpty});
@@ -240,20 +245,30 @@ prepareBatch(const embedding::VectorLayout &layout,
         }
     }
 
-    ctx.prepared.uniqueCount = entries.size();
+    // Slots are positions in index order.
     std::sort(entries.begin(), entries.end(),
               [](const DedupEntry &a, const DedupEntry &b) {
                   return a.index < b.index;
               });
+    std::vector<IndexId> unique(entries.size());
+    std::vector<std::uint32_t> slot_of_entry(entries.size());
+    for (std::uint32_t slot = 0; slot < entries.size(); ++slot) {
+        unique[slot] = entries[slot].index;
+        slot_of_entry[entries[slot].id] = slot;
+    }
+    ctx.buildSets(batch, std::move(unique),
+                  [&](std::size_t ref, IndexId) {
+                      return slot_of_entry[ref_entry[ref]];
+                  });
 
-    std::vector<QueryId> users;
-    for (const DedupEntry &entry : entries) {
-        users.clear();
+    for (std::uint32_t slot = 0; slot < entries.size(); ++slot) {
+        const DedupEntry &entry = entries[slot];
+        SmallVec<QueryId, 2> users;
         users.reserve(entry.count);
         for (std::uint32_t link = entry.head; link != kEmpty;
              link = links[link].next)
             users.push_back(links[link].query);
-        ctx.emitDedupRead(entry.index, users.data(), users.size());
+        ctx.makeRead(entry.index, slot, std::move(users));
     }
 
     FAFNIR_DPRINTF(Host, "compiled batch of ", batch.size(),
@@ -270,7 +285,7 @@ prepareBatchReference(const embedding::VectorLayout &layout,
                       const embedding::Batch &batch, bool dedup,
                       VectorPool *pool, embedding::PayloadFormat payload)
 {
-    PrepareContext ctx(layout, store, batch, pool, /*ref=*/true, payload);
+    PrepareContext ctx(layout, store, batch, pool, payload);
     if (!dedup) {
         ctx.emitNoDedup(batch);
         return std::move(ctx.prepared);
@@ -282,10 +297,23 @@ prepareBatchReference(const embedding::VectorLayout &layout,
     for (const auto &q : batch.queries)
         for (IndexId index : q.indices)
             map_users[index].push_back(q.id);
-    ctx.prepared.uniqueCount = map_users.size();
 
+    std::vector<IndexId> unique;
     for (const auto &[index, queries] : map_users)
-        ctx.emitDedupRead(index, queries.data(), queries.size());
+        unique.push_back(index);
+    const IndexSetTable &sets = ctx.prepared.sets;
+    ctx.buildSets(batch, std::move(unique),
+                  [&sets](std::size_t, IndexId index) {
+                      return sets.slotOf(index);
+                  });
+
+    std::uint32_t slot = 0;
+    for (const auto &[index, queries] : map_users) {
+        SmallVec<QueryId, 2> users;
+        for (QueryId q : queries)
+            users.push_back(q);
+        ctx.makeRead(index, slot++, std::move(users));
+    }
     return std::move(ctx.prepared);
 }
 

@@ -5,10 +5,15 @@
  * Fafnir's software support (Section IV-B/IV-C): the host rearranges a
  * batch of queries into per-rank lists of memory reads and their flit
  * headers. In dedup mode (the paper's key mechanism) each *unique* index
- * of the batch is read exactly once; its header's `queries` field lists,
- * for every query containing it, the other indices of that query. In
- * no-dedup mode (the Figure 13 ablation) every (query, index) reference
- * issues its own read.
+ * of the batch is read exactly once; its header's `queries` field lists
+ * every query containing it (each query's residual — the other indices
+ * of that query — is derived from the batch's query sets). In no-dedup
+ * mode (the Figure 13 ablation) every (query, index) reference issues
+ * its own read.
+ *
+ * Prepare also builds the batch's IndexSetTable: one slot per unique
+ * index in ascending order, the singleton header of every read, and
+ * each query's full set.
  *
  * Prepare runs on the calling thread. Its cost to the simulated system
  * (including the paper's multi-core host) is modeled by the serving
@@ -52,8 +57,11 @@ struct PreparedBatch
     std::size_t totalReferences = 0;
     /** Reads actually issued (== uniqueCount in dedup mode). */
     std::size_t accessCount = 0;
-    /** Full index set per query, for the root combiner. */
-    std::vector<IndexSet> querySets;
+    /**
+     * The batch's index space: slots, read headers and the full set of
+     * every query (querySet(q)), for the PE checks and root combiner.
+     */
+    IndexSetTable sets;
     /**
      * Payload encoding the batch was compiled for. Item values are
      * round-tripped through this format at the leaf (quantize once,

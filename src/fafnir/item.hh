@@ -4,21 +4,23 @@
  *
  * An Item is one entry of a PE input/output buffer: a value (the partial
  * reduction) plus its header. The header's `indices` field records which
- * embedding vectors the value already sums; the `queries` field lists, for
- * every query that still wants this value, the indices of that query that
- * have NOT been folded in yet (the paper's example header
- * [indices:50,11 | queries:94,26]). We keep the owning query id explicit
- * per residual — the hardware encodes it positionally, the semantics are
- * identical — so the root can route finished vectors to their queries.
+ * embedding vectors the value already sums, as a SetId into the batch's
+ * IndexSetTable; the `queries` field lists the ids of the queries that
+ * still want this value (the paper's example header
+ * [indices:50,11 | queries:94,26] lists query q's residual {94, 26}).
  *
- * Invariant (checked in debug paths): for every residual r of an item,
- * r.remaining is disjoint from header.indices, and
- * header.indices ∪ r.remaining equals the full index set of query r.query.
+ * Residuals are derived, not stored: the invariant that every residual
+ * r of query q is disjoint from `indices` and that indices ∪ r is the
+ * full query set fixes r = querySet(q) \ indices. The PE checks the
+ * invariant's operational form on every reduce (both operands are
+ * subsets of the query's set and disjoint from each other), and the
+ * root checks each query's partials cover exactly its set.
  */
 
 #ifndef FAFNIR_FAFNIR_ITEM_HH
 #define FAFNIR_FAFNIR_ITEM_HH
 
+#include <algorithm>
 #include <string>
 
 #include "common/smallvec.hh"
@@ -29,74 +31,47 @@
 namespace fafnir::core
 {
 
-/** One query's view of an item: what it still needs. */
-struct QueryResidual
-{
-    QueryId query = 0;
-    /** Indices of the query not yet included in the item's value. */
-    IndexSet remaining;
-
-    bool operator==(const QueryResidual &other) const = default;
-};
-
 /** One buffer entry: value + header. */
 struct Item
 {
     /** Vectors already reduced into `value` (the header's indices field). */
-    IndexSet indices;
+    SetId indices = IndexSetTable::kEmptySet;
     /**
      * Queries that still want this value (the header's queries field).
-     * Two inline slots: most items carry one residual (their own query)
-     * and pick up more only when the merge unit folds headers together.
+     * Two inline slots: most items serve one query and pick up more
+     * only when the merge unit folds headers together.
      */
-    SmallVec<QueryResidual, 2> queries;
+    SmallVec<QueryId, 2> queries;
     /**
      * The partial reduction. Empty in timing-only runs; the functional
      * model always populates it.
      */
     embedding::Vector value;
 
-    /** Ids of the queries this item belongs to (attribution tags). */
-    SmallVec<QueryId, 2>
-    queryIds() const
-    {
-        SmallVec<QueryId, 2> ids;
-        for (const auto &r : queries)
-            ids.push_back(r.query);
-        return ids;
-    }
-
-    /** Residual for @p query, or nullptr. */
-    const QueryResidual *
-    findQuery(QueryId query) const
-    {
-        for (const auto &r : queries)
-            if (r.query == query)
-                return &r;
-        return nullptr;
-    }
-
-    /** True once some query is fully reduced in this item. */
     bool
-    completesAnyQuery() const
+    hasQuery(QueryId query) const
     {
-        for (const auto &r : queries)
-            if (r.remaining.empty())
-                return true;
-        return false;
+        return std::find(queries.begin(), queries.end(), query) !=
+               queries.end();
     }
 
-    /** Header bytes on the wire: 5-bit ids, ceil(bits/8) per field set. */
+    /**
+     * Header bits on the wire at @p bits_per_index per index: the
+     * indices field plus every query's residual. Under the item
+     * invariant, |residual(q)| = |querySet(q)| - |indices|.
+     */
     std::size_t
-    headerBits(unsigned bits_per_index) const
+    headerBits(const IndexSetTable &sets, unsigned bits_per_index) const
     {
-        std::size_t total = indices.size() * bits_per_index;
-        for (const auto &r : queries)
-            total += r.remaining.size() * bits_per_index;
-        return total;
+        const std::size_t own = sets.size(indices);
+        std::size_t total = own;
+        for (QueryId q : queries)
+            total += sets.size(sets.querySet(q)) - own;
+        return total * bits_per_index;
     }
 
-    std::string toString() const;
+    /** "[indices:{..} | queries:qN:{residual} ...]" in vector indices. */
+    std::string toString(const IndexSetTable &sets) const;
 };
 
 } // namespace fafnir::core

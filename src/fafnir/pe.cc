@@ -6,7 +6,7 @@
 #include "pe.hh"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "embedding/reduce_kernels.hh"
@@ -41,22 +41,20 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** A forward of @p source carrying only the residual of @p query. */
-PeOutput
-makeForward(const Item &source, const QueryResidual &residual,
-            std::uint8_t side, std::uint16_t index, VectorPool *pool)
+/** One compute-unit decision, before the merge unit. */
+struct RawOutput
 {
-    Item item;
-    item.indices = source.indices;
-    item.queries = {residual};
-    item.value = copyValue(source.value, pool);
-    return {std::move(item), PeAction::Forward, {{side, index}}};
-}
+    SetId indices;
+    QueryId query;
+    PeAction action;
+    /** Forward: {source}; reduce: {A operand, B operand}. */
+    Provenance sources[2];
+};
 
 } // namespace
 
 std::vector<PeOutput>
-ProcessingElement::process(const std::vector<Item> &a,
+ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
                            const std::vector<Item> &b, PeActivity &activity,
                            bool values, embedding::ReduceOp op,
                            VectorPool *pool,
@@ -67,42 +65,63 @@ ProcessingElement::process(const std::vector<Item> &a,
     // entry of the other (Section IV-B).
     activity.compares += static_cast<std::uint64_t>(a.size()) * b.size();
 
-    // Gather, per query, the buffer positions that carry its residuals, in
-    // buffer order. std::map keeps query iteration deterministic.
-    std::map<QueryId, std::pair<std::vector<std::size_t>,
-                                std::vector<std::size_t>>>
-        by_query;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        for (const auto &r : a[i].queries)
-            by_query[r.query].first.push_back(i);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        for (const auto &r : b[i].queries)
-            by_query[r.query].second.push_back(i);
+    // Gather, per query, the buffer positions that carry it: a counting
+    // sort over the batch's dense query ids, laid out per query as
+    // [A positions | B positions], each in buffer order.
+    const std::size_t num_queries = sets.numQueries();
+    std::vector<std::uint32_t> count(2 * num_queries, 0);
+    const std::vector<Item> *sides[2] = {&a, &b};
+    for (unsigned side = 0; side < 2; ++side) {
+        for (const Item &item : *sides[side]) {
+            for (QueryId q : item.queries) {
+                FAFNIR_ASSERT(q < num_queries, "query ", q,
+                              " outside the batch");
+                ++count[2 * q + side];
+            }
+        }
+    }
+    std::vector<std::uint32_t> cursor(2 * num_queries);
+    std::uint32_t total = 0;
+    for (std::size_t slot = 0; slot < cursor.size(); ++slot) {
+        cursor[slot] = total;
+        total += count[slot];
+    }
+    std::vector<std::uint16_t> positions(total);
+    for (unsigned side = 0; side < 2; ++side) {
+        const std::vector<Item> &items = *sides[side];
+        for (std::size_t i = 0; i < items.size(); ++i)
+            for (QueryId q : items[i].queries)
+                positions[cursor[2 * q + side]++] =
+                    static_cast<std::uint16_t>(i);
+    }
 
-    std::vector<PeOutput> raw;
-    for (const auto &[query, sides] : by_query) {
-        const auto &[in_a, in_b] = sides;
-        const std::size_t paired = std::min(in_a.size(), in_b.size());
+    std::vector<RawOutput> raw;
+    raw.reserve(total);
+    const std::uint16_t *next = positions.data();
+    for (QueryId q = 0; q < num_queries; ++q) {
+        const std::uint16_t *in_a = next;
+        const std::uint16_t *in_b = in_a + count[2 * q];
+        const std::size_t n_a = count[2 * q];
+        const std::size_t n_b = count[2 * q + 1];
+        next = in_b + n_b;
+        const std::size_t paired = std::min(n_a, n_b);
 
         for (std::size_t i = 0; i < paired; ++i) {
-            const Item &left = a[in_a[i]];
-            const Item &right = b[in_b[i]];
-            const QueryResidual *ra = left.findQuery(query);
-            const QueryResidual *rb = right.findQuery(query);
-            FAFNIR_ASSERT(ra && rb, "residual lookup failed");
-            FAFNIR_ASSERT(ra->remaining.containsAll(right.indices),
-                          "query ", query, ": right operand ",
-                          right.indices.toString(),
-                          " not wanted by residual ",
-                          ra->remaining.toString());
-            FAFNIR_ASSERT(rb->remaining.containsAll(left.indices),
-                          "query ", query, ": left operand not wanted");
-
-            Item item;
-            item.indices = left.indices.disjointUnion(right.indices);
-            item.queries = {{query, ra->remaining.minus(right.indices)}};
-            if (values && !left.value.empty())
-                item.value = addValues(left.value, right.value, op, pool);
+            const SetId left = a[in_a[i]].indices;
+            const SetId right = b[in_b[i]].indices;
+            const SetId merged = sets.unite(left, right);
+            // Both operands are wanted by q exactly when they are
+            // disjoint and their union lies inside q's set.
+            FAFNIR_ASSERT(sets.size(merged) ==
+                              sets.size(left) + sets.size(right),
+                          "query ", q, ": operands ",
+                          sets.indexSet(left).toString(), " and ",
+                          sets.indexSet(right).toString(), " overlap");
+            FAFNIR_ASSERT(sets.includes(sets.querySet(q), merged),
+                          "query ", q, ": operands ",
+                          sets.indexSet(merged).toString(),
+                          " not wanted by query set ",
+                          sets.indexSet(sets.querySet(q)).toString());
             // Meeting-logic codec work under a compressed payload:
             // dequantize both operands, accumulate in fp32, and
             // requantize the partial for the uplink. Counted per
@@ -115,70 +134,84 @@ ProcessingElement::process(const std::vector<Item> &a,
                 activity.dequants += 2;
                 activity.requants += 1;
             }
-            raw.push_back(
-                {std::move(item),
-                 PeAction::Reduce,
-                 {{0, static_cast<std::uint16_t>(in_a[i])},
-                  {1, static_cast<std::uint16_t>(in_b[i])}}});
+            raw.push_back({merged, q, PeAction::Reduce,
+                           {{0, in_a[i]}, {1, in_b[i]}}});
             ++activity.reduces;
         }
-        for (std::size_t i = paired; i < in_a.size(); ++i) {
-            raw.push_back(
-                makeForward(a[in_a[i]], *a[in_a[i]].findQuery(query), 0,
-                            static_cast<std::uint16_t>(in_a[i]), pool));
+        for (std::size_t i = paired; i < n_a; ++i) {
+            raw.push_back({a[in_a[i]].indices, q, PeAction::Forward,
+                           {{0, in_a[i]}, {}}});
             ++activity.forwards;
         }
-        for (std::size_t i = paired; i < in_b.size(); ++i) {
-            raw.push_back(
-                makeForward(b[in_b[i]], *b[in_b[i]].findQuery(query), 1,
-                            static_cast<std::uint16_t>(in_b[i]), pool));
+        for (std::size_t i = paired; i < n_b; ++i) {
+            raw.push_back({b[in_b[i]].indices, q, PeAction::Forward,
+                           {{1, in_b[i]}, {}}});
             ++activity.forwards;
         }
     }
 
-    // Merge unit: group by indices set. Equal indices imply the same value
-    // (a value is a pure function of the vectors it sums), so duplicates
-    // are dropped and distinct residual lists are concatenated.
-    std::map<IndexSet, PeOutput> merged;
-    for (auto &out : raw) {
-        auto [it, inserted] = merged.try_emplace(out.item.indices,
-                                                 std::move(out));
-        if (inserted)
-            continue;
-        PeOutput &existing = it->second;
-        // The losing duplicate's value buffer dies here; recycle it.
-        if (pool != nullptr)
-            pool->release(std::move(out.item.value));
-        for (auto &residual : out.item.queries) {
-            bool duplicate = false;
-            for (const auto &have : existing.item.queries) {
-                if (have == residual) {
-                    duplicate = true;
-                    break;
-                }
-            }
-            if (duplicate) {
-                ++activity.duplicatesDropped;
-            } else {
-                existing.item.queries.push_back(std::move(residual));
-                ++activity.headersMerged;
-            }
-        }
-        for (const Provenance &src : out.sources) {
-            bool known = false;
-            for (const Provenance &have : existing.sources)
-                known |= have == src;
-            if (!known)
-                existing.sources.push_back(src);
-        }
-        if (out.action == PeAction::Reduce)
-            existing.action = PeAction::Reduce;
-    }
+    // Merge unit: group by indices set, in set order. Equal indices imply
+    // the same value (a value is a pure function of the vectors it sums),
+    // so the first raw output of a set supplies the value and later ones
+    // only contribute queries and sources; a repeated query is a
+    // duplicate, since its residual is derived from (query, indices).
+    std::vector<std::uint32_t> order(raw.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t i, std::uint32_t j) {
+                  const SetId si = raw[i].indices;
+                  const SetId sj = raw[j].indices;
+                  return si == sj ? i < j : sets.less(si, sj);
+              });
 
     std::vector<PeOutput> outputs;
-    outputs.reserve(merged.size());
-    for (auto &[key, out] : merged)
+    for (std::size_t k = 0; k < order.size();) {
+        const RawOutput &first = raw[order[k]];
+        const bool reduce = first.action == PeAction::Reduce;
+        PeOutput out;
+        out.item.indices = first.indices;
+        out.item.queries.push_back(first.query);
+        out.action = first.action;
+        out.sources.push_back(first.sources[0]);
+        if (reduce)
+            out.sources.push_back(first.sources[1]);
+
+        std::size_t j = k + 1;
+        for (; j < order.size() && raw[order[j]].indices == first.indices;
+             ++j) {
+            const RawOutput &dup = raw[order[j]];
+            if (out.item.hasQuery(dup.query)) {
+                ++activity.duplicatesDropped;
+            } else {
+                out.item.queries.push_back(dup.query);
+                ++activity.headersMerged;
+            }
+            const std::size_t n_src =
+                dup.action == PeAction::Reduce ? 2 : 1;
+            for (std::size_t s = 0; s < n_src; ++s) {
+                if (std::find(out.sources.begin(), out.sources.end(),
+                              dup.sources[s]) == out.sources.end())
+                    out.sources.push_back(dup.sources[s]);
+            }
+            if (dup.action == PeAction::Reduce)
+                out.action = PeAction::Reduce;
+        }
+
+        if (reduce) {
+            const Item &left = a[first.sources[0].index];
+            const Item &right = b[first.sources[1].index];
+            if (values && !left.value.empty()) {
+                out.item.value =
+                    addValues(left.value, right.value, op, pool);
+            }
+        } else {
+            const Provenance src = first.sources[0];
+            out.item.value =
+                copyValue((*sides[src.side])[src.index].value, pool);
+        }
         outputs.push_back(std::move(out));
+        k = j;
+    }
     return outputs;
 }
 

@@ -18,6 +18,14 @@
  * of A with the i-th matching entry of B per query; unpaired entries are
  * forwarded. This keeps every query's in-flight items disjoint partial
  * sums — the invariant the root combiner relies on.
+ *
+ * Representation. Headers are interned (IndexSetTable), so the model runs
+ * on flat vectors: a counting sort over the batch's dense query ids
+ * groups the buffer entries per query, and the merge unit sorts the raw
+ * outputs by set order with id equality as the duplicate test. Output
+ * order — ascending by index set, the first raw output of a set winning
+ * and later ones folding in raw order — fixes each output's issue slot
+ * in the timing engines.
  */
 
 #ifndef FAFNIR_FAFNIR_PE_HH
@@ -26,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/smallvec.hh"
 #include "common/types.hh"
 #include "embedding/quantize.hh"
 #include "fafnir/item.hh"
@@ -119,7 +128,7 @@ struct PeOutput
     Item item;
     PeAction action = PeAction::Forward;
     /** Input entries this output depends on (post-merge union). */
-    std::vector<Provenance> sources;
+    SmallVec<Provenance, 2> sources;
 };
 
 /**
@@ -131,6 +140,8 @@ class ProcessingElement
   public:
     /**
      * Process inputs A and B.
+     * @param sets the batch's index sets; reduces intern their unions
+     *        into it.
      * @param values when false, item values are not combined (timing-only
      *        runs on large batches skip the arithmetic).
      * @param op element-wise operator of the reduce path.
@@ -142,8 +153,9 @@ class ProcessingElement
      *        already fixed them).
      */
     static std::vector<PeOutput>
-    process(const std::vector<Item> &a, const std::vector<Item> &b,
-            PeActivity &activity, bool values = true,
+    process(IndexSetTable &sets, const std::vector<Item> &a,
+            const std::vector<Item> &b, PeActivity &activity,
+            bool values = true,
             embedding::ReduceOp op = embedding::ReduceOp::Sum,
             VectorPool *pool = nullptr,
             embedding::PayloadFormat payload =

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/random.hh"
 #include "dram/address.hh"
 #include "dram/config.hh"
@@ -24,6 +28,55 @@ makeSystem(EventQueue &eq, unsigned ranks = 32)
 {
     return MemorySystem(eq, Geometry::withTotalRanks(ranks),
                         Timing::ddr4_2400(), Interleave::BlockRank, 512);
+}
+
+/** A mapping under test: geometry, policy and block size. */
+struct MappingCase
+{
+    Geometry geometry;
+    Interleave policy;
+    unsigned blockBytes;
+};
+
+/** Both policies over multi- and single-channel geometries, including
+ *  a small row so reads cross rows as well as blocks. */
+std::vector<MappingCase>
+mappingCases()
+{
+    Geometry small_row = Geometry::withTotalRanks(1);
+    small_row.rowBytes = 1024;
+    std::vector<MappingCase> cases;
+    for (Interleave policy :
+         {Interleave::BlockRank, Interleave::LineChannel}) {
+        cases.push_back({Geometry{}, policy, 512});
+        cases.push_back({Geometry::withTotalRanks(8), policy, 256});
+        cases.push_back({Geometry::withTotalRanks(1), policy, 512});
+        cases.push_back({small_row, policy, 1024});
+    }
+    return cases;
+}
+
+/** (address, size) pairs: random spans plus spans ending on and
+ *  crossing block and row boundaries. */
+std::vector<std::pair<Addr, unsigned>>
+readSpans(const MappingCase &c, std::uint64_t seed)
+{
+    const Geometry &g = c.geometry;
+    const unsigned sizes[] = {1,   63,  64,   65,   100, 512,
+                              513, 777, 2048, 4096, g.rowBytes + 64};
+    std::vector<std::pair<Addr, unsigned>> spans;
+    Rng rng(seed);
+    const Addr limit = g.capacityBytes() - 2 * g.rowBytes;
+    for (unsigned bytes : sizes) {
+        for (int i = 0; i < 40; ++i)
+            spans.emplace_back(rng.nextBelow(limit), bytes);
+        const Addr block = rng.nextBelow(limit) & ~Addr(c.blockBytes - 1);
+        const Addr row = rng.nextBelow(limit) & ~Addr(g.rowBytes - 1);
+        spans.emplace_back(block + c.blockBytes - 64, bytes);
+        spans.emplace_back(block + c.blockBytes - 1, bytes);
+        spans.emplace_back(row + g.rowBytes - 64, bytes);
+    }
+    return spans;
 }
 
 } // namespace
@@ -116,6 +169,77 @@ TEST(AddressMapper, BlockStaysInOneRow)
     EXPECT_EQ(first.row, last.row);
     EXPECT_EQ(first.bank, last.bank);
     EXPECT_EQ(first.globalRank(g), last.globalRank(g));
+}
+
+TEST(AddressMapper, BurstWalkMatchesDecode)
+{
+    // forEachBurst decodes once per column run and steps the column
+    // inside it; every burst must still land where decode() puts it.
+    std::uint64_t seed = 1;
+    for (const MappingCase &c : mappingCases()) {
+        const AddressMapper mapper(c.geometry, c.policy, c.blockBytes);
+        const Addr burst = c.geometry.burstBytes;
+        for (const auto &[addr, bytes] : readSpans(c, seed++)) {
+            std::vector<Coordinates> walked;
+            const Coordinates head = mapper.forEachBurst(
+                addr, bytes,
+                [&](const Coordinates &coords) { walked.push_back(coords); });
+            std::vector<Coordinates> decoded;
+            const Addr last = (addr + bytes - 1) & ~(burst - 1);
+            for (Addr a = addr & ~(burst - 1); a <= last; a += burst)
+                decoded.push_back(mapper.decode(a));
+            ASSERT_EQ(walked.size(), decoded.size())
+                << "addr " << addr << " bytes " << bytes;
+            for (std::size_t i = 0; i < decoded.size(); ++i) {
+                EXPECT_EQ(walked[i], decoded[i])
+                    << "addr " << addr << " bytes " << bytes << " burst "
+                    << i << ": " << toString(walked[i]) << " vs "
+                    << toString(decoded[i]);
+            }
+            EXPECT_EQ(head, decoded.front());
+        }
+    }
+}
+
+TEST(MemorySystem, ReadMatchesItsBurstsIssuedOneByOne)
+{
+    // A multi-burst read must time exactly like its bursts read one at
+    // a time from the same earliest tick on a twin system.
+    std::uint64_t seed = 100;
+    for (const MappingCase &c : mappingCases()) {
+        EventQueue eq_whole;
+        EventQueue eq_bursts;
+        MemorySystem whole(eq_whole, c.geometry, Timing::ddr4_2400(),
+                           c.policy, c.blockBytes);
+        MemorySystem bursts(eq_bursts, c.geometry, Timing::ddr4_2400(),
+                            c.policy, c.blockBytes);
+        const Addr burst = c.geometry.burstBytes;
+        Tick earliest = 0;
+        for (const auto &[addr, bytes] : readSpans(c, seed++)) {
+            earliest += 7 * kTicksPerNs;
+            const AccessResult got =
+                whole.read(addr, bytes, earliest, Destination::Host);
+            AccessResult want;
+            want.complete = earliest;
+            const Addr last = (addr + bytes - 1) & ~(burst - 1);
+            for (Addr a = addr & ~(burst - 1); a <= last; a += burst) {
+                const AccessResult one = bursts.read(
+                    a, static_cast<unsigned>(burst), earliest,
+                    Destination::Host);
+                if (want.bursts == 0)
+                    want.firstData = one.firstData;
+                want.complete = std::max(want.complete, one.complete);
+                want.rowHits += one.rowHits;
+                want.rowMisses += one.rowMisses;
+                want.bursts += one.bursts;
+            }
+            EXPECT_EQ(got.complete, want.complete) << "addr " << addr;
+            EXPECT_EQ(got.firstData, want.firstData) << "addr " << addr;
+            EXPECT_EQ(got.rowHits, want.rowHits) << "addr " << addr;
+            EXPECT_EQ(got.rowMisses, want.rowMisses) << "addr " << addr;
+            EXPECT_EQ(got.bursts, want.bursts) << "addr " << addr;
+        }
+    }
 }
 
 TEST(MemorySystem, ClosedRowReadLatency)

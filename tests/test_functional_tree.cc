@@ -343,8 +343,6 @@ TEST(FunctionalTree, Figure6ExactPlacement)
 
     PreparedBatch prepared;
     prepared.rankReads.resize(8);
-    for (const auto &q : queries)
-        prepared.querySets.emplace_back(q);
     prepared.totalReferences = 16;
 
     std::map<IndexId, std::vector<QueryId>> users;
@@ -352,14 +350,24 @@ TEST(FunctionalTree, Figure6ExactPlacement)
         for (IndexId index : queries[qid])
             users[index].push_back(qid);
     prepared.uniqueCount = users.size();
+    std::vector<IndexId> unique;
+    for (const auto &[index, qids] : users)
+        unique.push_back(index);
+    prepared.sets = IndexSetTable(unique);
+    for (const auto &q : queries) {
+        std::vector<std::uint32_t> slots;
+        for (IndexId index : q)
+            slots.push_back(prepared.sets.slotOf(index));
+        std::sort(slots.begin(), slots.end());
+        prepared.sets.addQuery(prepared.sets.intern(slots));
+    }
     for (const auto &[index, qids] : users) {
         RankRead read;
         read.index = index;
-        read.item.indices = IndexSet::single(index);
+        read.item.indices =
+            IndexSetTable::single(prepared.sets.slotOf(index));
         for (QueryId qid : qids)
-            read.item.queries.push_back(
-                {qid, prepared.querySets[qid].minus(
-                          IndexSet::single(index))});
+            read.item.queries.push_back(qid);
         read.item.value = store.vector(index);
         prepared.rankReads[index % 10].push_back(std::move(read));
         ++prepared.accessCount;
@@ -388,14 +396,18 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     // {50}, forwarded {11}, and reduced {50,11}.
     const unsigned pe01 = topology.leafPeOf(0);
     const auto &trace = run.trace[pe01];
-    ASSERT_EQ(trace.inputsA.size(), 1u);
-    ASSERT_EQ(trace.inputsB.size(), 1u);
-    EXPECT_EQ(trace.outputs.size(), 3u);
-    bool saw_reduced = false;
-    for (const auto &out : trace.outputs)
-        if (out.item.indices == IndexSet({50, 11}))
-            saw_reduced = out.action == PeAction::Reduce;
-    EXPECT_TRUE(saw_reduced);
+    ASSERT_EQ(trace.inputs[0], 1u);
+    ASSERT_EQ(trace.inputs[1], 1u);
+    ASSERT_EQ(trace.outputs.size(), 3u);
+    // Outputs in index-set order: {11}, {11,50}, {50}. The reduce
+    // serves query c alone and reads both inputs.
+    EXPECT_EQ(trace.outputs[0].action, PeAction::Forward);
+    EXPECT_EQ(trace.outputs[2].action, PeAction::Forward);
+    const PeTraceOutput &reduced = trace.outputs[1];
+    EXPECT_EQ(reduced.action, PeAction::Reduce);
+    ASSERT_EQ(reduced.queries.size(), 1u);
+    EXPECT_EQ(reduced.queries[0], 2u);
+    EXPECT_EQ(reduced.sources.size(), 2u);
 }
 
 TEST(FunctionalTree, HighSharingStress)

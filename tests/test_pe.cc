@@ -16,57 +16,94 @@ using namespace fafnir::core;
 namespace
 {
 
-/** An item summing `indices`, wanted by residuals {query -> remaining}. */
-Item
-makeItem(std::initializer_list<IndexId> indices,
-         std::initializer_list<std::pair<QueryId,
-                                         std::initializer_list<IndexId>>>
-             residuals)
+/**
+ * The index space of one test batch: query q's full set is queries[q],
+ * interned over one slot per index the queries mention. An item's
+ * residual for q is derived as queries[q] minus the item's indices.
+ */
+struct Rig
 {
-    Item item;
-    item.indices = IndexSet(std::vector<IndexId>(indices));
-    for (const auto &[q, rem] : residuals)
-        item.queries.push_back({q, IndexSet(std::vector<IndexId>(rem))});
-    return item;
-}
+    IndexSetTable sets;
 
-std::vector<PeOutput>
-run(const std::vector<Item> &a, const std::vector<Item> &b)
-{
-    PeActivity activity;
-    return ProcessingElement::process(a, b, activity, /*values=*/false);
-}
+    explicit Rig(const std::vector<std::vector<IndexId>> &queries)
+    {
+        std::vector<IndexId> all;
+        for (const auto &q : queries)
+            all.insert(all.end(), q.begin(), q.end());
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+        sets = IndexSetTable(all);
+        for (const auto &q : queries)
+            sets.addQuery(intern(q));
+    }
 
-const Item *
-findByIndices(const std::vector<PeOutput> &outputs,
-              std::initializer_list<IndexId> indices)
-{
-    const IndexSet key{std::vector<IndexId>(indices)};
-    for (const auto &out : outputs)
-        if (out.item.indices == key)
-            return &out.item;
-    return nullptr;
-}
+    SetId
+    intern(std::vector<IndexId> indices)
+    {
+        std::sort(indices.begin(), indices.end());
+        std::vector<std::uint32_t> slots;
+        for (IndexId index : indices)
+            slots.push_back(sets.slotOf(index));
+        return sets.intern(slots);
+    }
+
+    /** An item summing @p indices, wanted by @p queries. */
+    Item
+    item(std::vector<IndexId> indices, std::vector<QueryId> queries)
+    {
+        Item it;
+        it.indices = intern(std::move(indices));
+        for (QueryId q : queries)
+            it.queries.push_back(q);
+        return it;
+    }
+
+    std::vector<PeOutput>
+    run(const std::vector<Item> &a, const std::vector<Item> &b)
+    {
+        PeActivity activity;
+        return ProcessingElement::process(sets, a, b, activity,
+                                          /*values=*/false);
+    }
+
+    const Item *
+    find(const std::vector<PeOutput> &outputs,
+         std::initializer_list<IndexId> indices) const
+    {
+        const IndexSet key{std::vector<IndexId>(indices)};
+        for (const auto &out : outputs)
+            if (sets.indexSet(out.item.indices) == key)
+                return &out.item;
+        return nullptr;
+    }
+
+    /** Derived residual of @p item's @p i-th query. */
+    IndexSet
+    residual(const Item &item, std::size_t i) const
+    {
+        return sets.residual(item.indices, item.queries[i]);
+    }
+};
 
 } // namespace
 
 TEST(Pe, ReducesMatchingPair)
 {
     // Query 0 = {1, 2}: item {1} on A, item {2} on B -> one reduce.
-    const auto out = run({makeItem({1}, {{0, {2}}})},
-                         {makeItem({2}, {{0, {1}}})});
+    Rig rig({{1, 2}});
+    const auto out = rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].action, PeAction::Reduce);
-    EXPECT_EQ(out[0].item.indices, IndexSet({1, 2}));
+    EXPECT_EQ(rig.sets.indexSet(out[0].item.indices), IndexSet({1, 2}));
     ASSERT_EQ(out[0].item.queries.size(), 1u);
-    EXPECT_TRUE(out[0].item.queries[0].remaining.empty());
+    EXPECT_TRUE(rig.residual(out[0].item, 0).empty());
 }
 
 TEST(Pe, ForwardsWhenNoMatch)
 {
     // Query 0 = {1, 9}; B holds an unrelated query's item.
-    const auto out = run({makeItem({1}, {{0, {9}}})},
-                         {makeItem({5}, {{1, {7}}})});
+    Rig rig({{1, 9}, {5, 7}});
+    const auto out = rig.run({rig.item({1}, {0})}, {rig.item({5}, {1})});
     ASSERT_EQ(out.size(), 2u);
     for (const auto &o : out)
         EXPECT_EQ(o.action, PeAction::Forward);
@@ -76,9 +113,8 @@ TEST(Pe, EmptySideForwardsEverything)
 {
     // "In some cases only one of the inputs exists, which automatically
     // leads to a forward action" (Figure 6, PE (4|15)).
-    const auto out = run({makeItem({1}, {{0, {9}}}),
-                          makeItem({2}, {{1, {5}}})},
-                         {});
+    Rig rig({{1, 9}, {2, 5}});
+    const auto out = rig.run({rig.item({1}, {0}), rig.item({2}, {1})}, {});
     ASSERT_EQ(out.size(), 2u);
     for (const auto &o : out)
         EXPECT_EQ(o.action, PeAction::Forward);
@@ -88,30 +124,32 @@ TEST(Pe, SharedItemReducesAndForwards)
 {
     // Figure 6 step 1: index 11's value reduces with 50 for query c but
     // must also forward for query a.
-    // query a = {11, 44}; query c = {50, 11}.
-    const auto out = run({makeItem({50}, {{2, {11}}})},
-                         {makeItem({11}, {{0, {44}}, {2, {50}}})});
+    // query a (0) = {11, 44}; query c (2) = {50, 11}.
+    Rig rig({{11, 44}, {99}, {50, 11}});
+    const auto out =
+        rig.run({rig.item({50}, {2})}, {rig.item({11}, {0, 2})});
     // Expect: reduced {50,11} for query c; forwarded {11} for query a.
-    const Item *reduced = findByIndices(out, {50, 11});
+    const Item *reduced = rig.find(out, {50, 11});
     ASSERT_NE(reduced, nullptr);
     EXPECT_EQ(reduced->queries.size(), 1u);
-    EXPECT_EQ(reduced->queries[0].query, 2u);
+    EXPECT_EQ(reduced->queries[0], 2u);
 
-    const Item *forwarded = findByIndices(out, {11});
+    const Item *forwarded = rig.find(out, {11});
     ASSERT_NE(forwarded, nullptr);
     ASSERT_EQ(forwarded->queries.size(), 1u);
-    EXPECT_EQ(forwarded->queries[0].query, 0u);
-    EXPECT_EQ(forwarded->queries[0].remaining, IndexSet({44}));
+    EXPECT_EQ(forwarded->queries[0], 0u);
+    EXPECT_EQ(rig.residual(*forwarded, 0), IndexSet({44}));
 }
 
 TEST(Pe, MergeUnitDropsDuplicateOutputs)
 {
     // The symmetric scan produces the reduced item from both sides; the
     // merge unit must emit it once.
+    Rig rig({{1, 2}});
     PeActivity activity;
     const auto out = ProcessingElement::process(
-        {makeItem({1}, {{0, {2}}})}, {makeItem({2}, {{0, {1}}})},
-        activity, false);
+        rig.sets, {rig.item({1}, {0})}, {rig.item({2}, {0})}, activity,
+        false);
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(activity.reduces, 1u);
 }
@@ -121,23 +159,23 @@ TEST(Pe, MergeUnitConcatenatesHeaders)
     // Two queries both need {1} u {2}: same value, two residuals — the
     // merge unit concatenates the queries fields (Figure 6 step at
     // PE (2|3)).
-    // q0 = {1,2,7}, q1 = {1,2,9}.
-    const auto out = run({makeItem({1}, {{0, {2, 7}}, {1, {2, 9}}})},
-                         {makeItem({2}, {{0, {1, 7}}, {1, {1, 9}}})});
-    const Item *merged = findByIndices(out, {1, 2});
+    Rig rig({{1, 2, 7}, {1, 2, 9}});
+    const auto out =
+        rig.run({rig.item({1}, {0, 1})}, {rig.item({2}, {0, 1})});
+    const Item *merged = rig.find(out, {1, 2});
     ASSERT_NE(merged, nullptr);
     ASSERT_EQ(merged->queries.size(), 2u);
-    EXPECT_EQ(merged->queries[0].remaining, IndexSet({7}));
-    EXPECT_EQ(merged->queries[1].remaining, IndexSet({9}));
+    EXPECT_EQ(rig.residual(*merged, 0), IndexSet({7}));
+    EXPECT_EQ(rig.residual(*merged, 1), IndexSet({9}));
 }
 
 TEST(Pe, SameSideMultiplicityPairsOnce)
 {
     // Query 0 = {1, 2, 3}; A holds {1} and {2}, B holds {3}. Exactly one
     // of A's items may reduce with B's; the other must forward.
-    const auto out = run({makeItem({1}, {{0, {2, 3}}}),
-                          makeItem({2}, {{0, {1, 3}}})},
-                         {makeItem({3}, {{0, {1, 2}}})});
+    Rig rig({{1, 2, 3}});
+    const auto out = rig.run({rig.item({1}, {0}), rig.item({2}, {0})},
+                             {rig.item({3}, {0})});
     unsigned reduces = 0;
     unsigned forwards = 0;
     IndexSet covered;
@@ -147,8 +185,9 @@ TEST(Pe, SameSideMultiplicityPairsOnce)
         else
             ++forwards;
         // Items of one query stay pairwise disjoint.
-        EXPECT_TRUE(covered.disjointWith(o.item.indices));
-        covered = covered.disjointUnion(o.item.indices);
+        const IndexSet indices = rig.sets.indexSet(o.item.indices);
+        EXPECT_TRUE(covered.disjointWith(indices));
+        covered = covered.disjointUnion(indices);
     }
     EXPECT_EQ(reduces, 1u);
     EXPECT_EQ(forwards, 1u);
@@ -157,13 +196,14 @@ TEST(Pe, SameSideMultiplicityPairsOnce)
 
 TEST(Pe, ValuesAreSummedWhenPresent)
 {
-    Item a = makeItem({1}, {{0, {2}}});
-    Item b = makeItem({2}, {{0, {1}}});
+    Rig rig({{1, 2}});
+    Item a = rig.item({1}, {0});
+    Item b = rig.item({2}, {0});
     a.value = {1.0f, 2.0f};
     b.value = {10.0f, 20.0f};
     PeActivity activity;
-    const auto out =
-        ProcessingElement::process({a}, {b}, activity, /*values=*/true);
+    const auto out = ProcessingElement::process(rig.sets, {a}, {b},
+                                                activity, /*values=*/true);
     ASSERT_EQ(out.size(), 1u);
     ASSERT_EQ(out[0].item.value.size(), 2u);
     EXPECT_FLOAT_EQ(out[0].item.value[0], 11.0f);
@@ -172,11 +212,11 @@ TEST(Pe, ValuesAreSummedWhenPresent)
 
 TEST(Pe, ActivityCountsCompares)
 {
+    Rig rig({{1, 9}, {2, 9}, {3, 9}, {4, 9}, {5, 9}});
     PeActivity activity;
     ProcessingElement::process(
-        {makeItem({1}, {{0, {9}}}), makeItem({2}, {{1, {9}}})},
-        {makeItem({3}, {{2, {9}}}), makeItem({4}, {{3, {9}}}),
-         makeItem({5}, {{4, {9}}})},
+        rig.sets, {rig.item({1}, {0}), rig.item({2}, {1})},
+        {rig.item({3}, {2}), rig.item({4}, {3}), rig.item({5}, {4})},
         activity, false);
     EXPECT_EQ(activity.compares, 6u); // 2 x 3 fabric comparisons
 }
@@ -190,29 +230,49 @@ TEST(Pe, OutputBoundFormula)
 TEST(Pe, PartialChainOverTwoLevels)
 {
     // Level 1 reduces {1}+{2}; level 2 reduces the partial with {3}.
-    const auto l1 = run({makeItem({1}, {{0, {2, 3}}})},
-                        {makeItem({2}, {{0, {1, 3}}})});
+    Rig rig({{1, 2, 3}});
+    const auto l1 = rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
     ASSERT_EQ(l1.size(), 1u);
-    EXPECT_EQ(l1[0].item.queries[0].remaining, IndexSet({3}));
+    EXPECT_EQ(rig.residual(l1[0].item, 0), IndexSet({3}));
 
-    const auto l2 = run({l1[0].item}, {makeItem({3}, {{0, {1, 2}}})});
+    const auto l2 = rig.run({l1[0].item}, {rig.item({3}, {0})});
     ASSERT_EQ(l2.size(), 1u);
-    EXPECT_EQ(l2[0].item.indices, IndexSet({1, 2, 3}));
-    EXPECT_TRUE(l2[0].item.queries[0].remaining.empty());
-    EXPECT_TRUE(l2[0].item.completesAnyQuery());
+    EXPECT_EQ(rig.sets.indexSet(l2[0].item.indices), IndexSet({1, 2, 3}));
+    EXPECT_TRUE(rig.residual(l2[0].item, 0).empty());
+    EXPECT_EQ(l2[0].item.indices, rig.sets.querySet(0));
+}
+
+TEST(Pe, OperandOutsideItsQueryFaults)
+{
+    // Query 0 = {1, 2}: an operand {3} on B is not wanted by it.
+    Rig rig({{1, 2}, {3}});
+    EXPECT_DEATH(rig.run({rig.item({1}, {0})}, {rig.item({3}, {0})}),
+                 "not wanted by query set");
+}
+
+TEST(Pe, OverlappingOperandsFault)
+{
+    // Both sides carry vector 1 for query 0: reducing would count it
+    // twice.
+    Rig rig({{1, 2}});
+    EXPECT_DEATH(rig.run({rig.item({1}, {0})}, {rig.item({1}, {0})}),
+                 "overlap");
 }
 
 TEST(Item, HeaderBitsAccounting)
 {
-    const Item item = makeItem({1, 2}, {{0, {3, 4, 5}}, {1, {9}}});
+    // Residuals {3,4,5} (query 0) and {9} (query 1) of an item {1,2}.
+    Rig rig({{1, 2, 3, 4, 5}, {1, 2, 9}});
+    const Item item = rig.item({1, 2}, {0, 1});
     // 2 indices + 4 residual indices at 5 bits each.
-    EXPECT_EQ(item.headerBits(5), 30u);
+    EXPECT_EQ(item.headerBits(rig.sets, 5), 30u);
 }
 
 TEST(Item, ToStringReadable)
 {
-    const Item item = makeItem({50, 11}, {{2, {94, 26}}});
-    const std::string s = item.toString();
+    Rig rig({{1}, {2}, {50, 11, 94, 26}});
+    const Item item = rig.item({50, 11}, {2});
+    const std::string s = item.toString(rig.sets);
     EXPECT_NE(s.find("{11,50}"), std::string::npos);
-    EXPECT_NE(s.find("q2"), std::string::npos);
+    EXPECT_NE(s.find("q2:{26,94}"), std::string::npos);
 }

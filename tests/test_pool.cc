@@ -49,25 +49,32 @@ namespace
 
 /** Two reducible input sides plus an unpaired forward. */
 void
-makeInputs(std::vector<Item> &a, std::vector<Item> &b, std::size_t dim)
+makeInputs(IndexSetTable &sets, std::vector<Item> &a, std::vector<Item> &b,
+           std::size_t dim)
 {
+    // Query q < 3 is {2q, 2q + 1}; query 3 is {40, 41}.
+    sets = IndexSetTable({0, 1, 2, 3, 4, 5, 40, 41});
+    for (std::uint32_t slot = 0; slot < 8; slot += 2) {
+        const std::uint32_t pair[] = {slot, slot + 1};
+        sets.addQuery(sets.intern(pair));
+    }
     for (IndexId i = 0; i < 6; i += 2) {
         const QueryId q = i / 2;
         Item left;
-        left.indices = IndexSet::single(i);
-        left.queries = {{q, IndexSet::single(i + 1)}};
+        left.indices = IndexSetTable::single(sets.slotOf(i));
+        left.queries = {q};
         left.value.assign(dim, 1.0f + static_cast<float>(i));
         Item right;
-        right.indices = IndexSet::single(i + 1);
-        right.queries = {{q, IndexSet::single(i)}};
+        right.indices = IndexSetTable::single(sets.slotOf(i + 1));
+        right.queries = {q};
         right.value.assign(dim, 0.5f + static_cast<float>(i));
         a.push_back(std::move(left));
         b.push_back(std::move(right));
     }
     // Query 3 has both vectors on side A: one reduceless forward each.
     Item lone;
-    lone.indices = IndexSet::single(40);
-    lone.queries = {{3, IndexSet::single(41)}};
+    lone.indices = IndexSetTable::single(sets.slotOf(40));
+    lone.queries = {3};
     lone.value.assign(dim, 7.0f);
     a.push_back(std::move(lone));
 }
@@ -76,20 +83,21 @@ makeInputs(std::vector<Item> &a, std::vector<Item> &b, std::size_t dim)
 
 TEST(VectorPool, PooledPeOutputsBitIdentical)
 {
+    IndexSetTable sets;
     std::vector<Item> a;
     std::vector<Item> b;
-    makeInputs(a, b, 33); // odd length: no convenient vector width
+    makeInputs(sets, a, b, 33); // odd length: no convenient vector width
 
     PeActivity plain_activity;
     const auto plain = ProcessingElement::process(
-        a, b, plain_activity, true, ReduceOp::Sum, nullptr);
+        sets, a, b, plain_activity, true, ReduceOp::Sum, nullptr);
 
     VectorPool pool;
     PeActivity pooled_activity;
     // Two rounds so round two actually reuses round one's buffers.
     for (int round = 0; round < 2; ++round) {
         auto pooled = ProcessingElement::process(
-            a, b, pooled_activity, true, ReduceOp::Sum, &pool);
+            sets, a, b, pooled_activity, true, ReduceOp::Sum, &pool);
         ASSERT_EQ(pooled.size(), plain.size());
         for (std::size_t i = 0; i < plain.size(); ++i) {
             EXPECT_EQ(pooled[i].item.indices, plain[i].item.indices);

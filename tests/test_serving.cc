@@ -101,6 +101,15 @@ expectPreparedIdentical(const PreparedBatch &a, const PreparedBatch &b)
     EXPECT_EQ(a.uniqueCount, b.uniqueCount);
     EXPECT_EQ(a.totalReferences, b.totalReferences);
     EXPECT_EQ(a.accessCount, b.accessCount);
+    ASSERT_EQ(a.sets.numSlots(), b.sets.numSlots());
+    for (std::uint32_t s = 0; s < a.sets.numSlots(); ++s)
+        EXPECT_EQ(a.sets.indexOf(s), b.sets.indexOf(s)) << "slot " << s;
+    ASSERT_EQ(a.sets.numQueries(), b.sets.numQueries());
+    for (QueryId q = 0; q < a.sets.numQueries(); ++q) {
+        EXPECT_EQ(a.sets.indexSet(a.sets.querySet(q)),
+                  b.sets.indexSet(b.sets.querySet(q)))
+            << "query " << q;
+    }
     for (std::size_t r = 0; r < a.rankReads.size(); ++r) {
         ASSERT_EQ(a.rankReads[r].size(), b.rankReads[r].size())
             << "rank " << r;
@@ -109,10 +118,10 @@ expectPreparedIdentical(const PreparedBatch &a, const PreparedBatch &b)
             const RankRead &rb = b.rankReads[r][i];
             EXPECT_EQ(ra.index, rb.index) << "rank " << r << " read " << i;
             EXPECT_EQ(ra.address, rb.address);
+            EXPECT_EQ(ra.item.indices, rb.item.indices);
             ASSERT_EQ(ra.item.queries.size(), rb.item.queries.size());
             for (std::size_t q = 0; q < ra.item.queries.size(); ++q) {
-                EXPECT_EQ(ra.item.queries[q].query,
-                          rb.item.queries[q].query)
+                EXPECT_EQ(ra.item.queries[q], rb.item.queries[q])
                     << "rank " << r << " read " << i << " user " << q;
             }
             EXPECT_TRUE(bitIdentical(ra.item.value, rb.item.value));

@@ -168,8 +168,10 @@ TEST(Host, HeadersCarryResidualsOfAllUsers)
                 read2 = &r;
     ASSERT_NE(read2, nullptr);
     ASSERT_EQ(read2->item.queries.size(), 2u);
-    EXPECT_EQ(read2->item.queries[0].remaining, IndexSet({1, 5}));
-    EXPECT_EQ(read2->item.queries[1].remaining, IndexSet({5, 9}));
+    EXPECT_EQ(p.sets.residual(read2->item.indices, read2->item.queries[0]),
+              IndexSet({1, 5}));
+    EXPECT_EQ(p.sets.residual(read2->item.indices, read2->item.queries[1]),
+              IndexSet({5, 9}));
 }
 
 TEST(Host, ReadsLandOnTheLayoutRank)
