@@ -18,8 +18,9 @@
  * the fed-back residual steers the round-average toward the true value,
  * and the improvement over the stateless quantizer is reported. With
  * --payload-accuracy=PATH the whole table lands in a schema-versioned
- * JSON report — and the sweep serializes (the EF stream is
- * order-dependent), with bench::clampParallelism naming the flag.
+ * JSON report. The grid points share no state and the order-dependent
+ * EF stream runs serially after the sweep, so the report is identical
+ * at any --jobs.
  */
 
 #include <algorithm>
@@ -197,6 +198,7 @@ main(int argc, char **argv)
     unsigned batch_size = 16;
     unsigned query_size = 24;
     unsigned ef_rounds = 16;
+    std::string acc_path;
     FlagParser flags("ablation: transport payload precision "
                      "(fp32 / int8 / twobit)");
     flags.addUnsigned("jobs", jobs,
@@ -206,15 +208,14 @@ main(int argc, char **argv)
     flags.addUnsigned("query-size", query_size, "indices per query");
     flags.addUnsigned("ef-rounds", ef_rounds,
                       "rounds in the error-feedback two-bit stream");
+    flags.addString("payload-accuracy", acc_path,
+                    "write the quantization accuracy report (max/mean "
+                    "abs error and relative L2 vs. the exact fp32 path) "
+                    "to this path");
     telemetry::TelemetrySession session("ablation_payload");
     session.registerFlags(flags);
     flags.parse(argc, argv);
     session.start();
-    // The EF stream (and the accuracy report built around it) is
-    // order-dependent carried state, so an accuracy-report run must
-    // serialize the sweep; clampParallelism names the flag.
-    if (!session.serving().payloadAccuracy.empty())
-        payloadAccuracyActive() = true;
     jobs = sweepJobs(jobs);
 
     const embedding::TableConfig tables{32, 1u << 18, 512, 4};
@@ -331,7 +332,6 @@ main(int argc, char **argv)
                      static_cast<double>(total_mismatches));
     report.setMetric("ef_twobit_improvement", ef_gain);
 
-    const std::string &acc_path = session.serving().payloadAccuracy;
     if (!acc_path.empty()) {
         std::ofstream os(acc_path);
         if (!os) {

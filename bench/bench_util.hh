@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/faultinject.hh"
+#include "common/instruments.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -23,30 +23,13 @@
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
 #include "sim/eventq.hh"
-#include "telemetry/flightrec.hh"
-#include "telemetry/timeseries.hh"
-#include "telemetry/trace_sink.hh"
 
 namespace fafnir::bench
 {
 
 /**
- * Set while an accuracy-report run is active (--payload-accuracy): the
- * error-feedback two-bit stream carries residual state across batches
- * (embedding::TwoBitState), so sweep order matters and parallel sweeps
- * must serialize to stay deterministic. Harnesses set this before
- * clamping when the flag was given.
- */
-inline bool &
-payloadAccuracyActive()
-{
-    static bool active = false;
-    return active;
-}
-
-/**
- * Every process-global telemetry facility currently forcing runs
- * serial, comma-joined ("--trace, --faults"); empty when none is
+ * The flag behind every installed instrument, each of which forces
+ * runs serial, comma-joined ("--trace, --faults"); empty when none is
  * installed. Listing *all* active reasons matters: a user who drops
  * the first flag named in the warning used to get a second clamp
  * warning naming the next one, one flag per run.
@@ -60,24 +43,26 @@ clampReasons()
             why += ", ";
         why += reason;
     };
-    if (telemetry::sink() != nullptr)
+    const Instruments in = instruments();
+    if (in.trace != nullptr)
         add("--trace");
-    if (fault::plan() != nullptr)
+    if (in.faults != nullptr)
         add("--faults");
-    if (telemetry::timeseries() != nullptr)
+    if (in.series != nullptr || in.slo != nullptr)
         add("--timeline/--slo");
-    if (telemetry::flightRecorder() != nullptr)
+    if (in.recorder != nullptr)
         add("--debug-bundle-dir");
-    if (payloadAccuracyActive())
-        add("--payload-accuracy");
+    if (in.attribution != nullptr)
+        add("--attrib");
     return why;
 }
 
 /**
  * Effective real-thread parallelism for @p flag once process-global
- * telemetry is in play: the TraceSink, the fault plan's RNG streams,
- * and the windowed TimeSeries rings are not thread-safe, so any of them
- * forces the run serial — with a warning naming the clamped flag, so a
+ * telemetry is in play: no instrument is thread-safe (the TraceSink,
+ * the Attribution collector, the fault plan's RNG streams, the windowed
+ * TimeSeries rings, the SLO monitor, the flight recorder), so any
+ * installed one forces the run serial — with a warning naming the clamped flag, so a
  * slow traced run is never a silent surprise. The only real threads are
  * the sweep harnesses' ("--jobs"); modeled parameters such as
  * --prepare-workers are never clamped, so telemetry cannot change a

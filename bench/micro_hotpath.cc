@@ -411,7 +411,9 @@ main(int argc, char **argv)
     double chain_rec = 0.0;
     {
         telemetry::FlightRecorder recorder;
-        telemetry::ScopedFlightRecorderInstall install(&recorder);
+        Instruments recording = instruments();
+        recording.recorder = &recorder;
+        ScopedInstruments install(recording);
         burst_rec = bestOf(3, [&] { return benchEventBurst(events, 512); });
         chain_rec = bestOf(3, [&] { return benchEventChain(events / 4); });
     }

@@ -353,13 +353,15 @@ main(int argc, char **argv)
         modeled_rate[i] = modeledPrepareRate(prepare_set, kPoolWidths[i]);
 
     const auto capacity_set = makeBatches(capacity_batches, 16, 24, 11);
+    // Keep the steady capacity sweeps out of any installed windowed
+    // series / SLO monitor: only the modulated run below should land in
+    // the timeline.
+    Instruments quiet = instruments();
+    quiet.series = nullptr;
+    quiet.slo = nullptr;
     double cap1, cap2, cap4, cap8, cap8_serial;
     {
-        // Keep the steady capacity sweeps out of any installed windowed
-        // series / SLO monitor: only the modulated run below should
-        // land in the timeline.
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        ScopedInstruments install(quiet);
         cap1 = benchCapacity(capacity_set, 1, 1);
         cap2 = benchCapacity(capacity_set, 2, 1);
         cap4 = benchCapacity(capacity_set, 4, 1);
@@ -374,10 +376,10 @@ main(int argc, char **argv)
     // aborts if recording ever perturbs the schedule.
     double cap2_rec;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
         telemetry::FlightRecorder recorder;
-        telemetry::ScopedFlightRecorderInstall rec_install(&recorder);
+        Instruments recording = quiet;
+        recording.recorder = &recorder;
+        ScopedInstruments install(recording);
         cap2_rec = benchCapacity(capacity_set, 2, 1);
 #ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
         FAFNIR_ASSERT(recorder.totalRecorded() > 0,
@@ -393,8 +395,7 @@ main(int argc, char **argv)
     // 8-engine budget as four 2-replica shards.
     double shard_cap_2x1, shard_cap_2x2, shard_cap_4x2;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        ScopedInstruments install(quiet);
         shard_cap_2x1 = benchShardCapacity(capacity_set, 2, 1);
         shard_cap_2x2 = benchShardCapacity(capacity_set, 2, 2);
         shard_cap_4x2 = benchShardCapacity(capacity_set, 4, 2);
@@ -405,8 +406,7 @@ main(int argc, char **argv)
     // reads. Pure byte accounting (no wall clock), gated by bench_diff.
     PayloadBytes payload_fp32, payload_int8;
     {
-        telemetry::ScopedTimeSeriesInstall series_off(nullptr);
-        telemetry::ScopedSloMonitorInstall monitor_off(nullptr);
+        ScopedInstruments install(quiet);
         payload_fp32 = benchPayloadBytes(capacity_set,
                                          embedding::PayloadFormat::Fp32);
         payload_int8 = benchPayloadBytes(capacity_set,
@@ -429,24 +429,22 @@ main(int argc, char **argv)
     const Tick burst_gap = 100 * kTicksPerNs;
     const double latency_slo_us = 20.0;
     std::optional<telemetry::TimeSeries> local_series;
-    std::optional<telemetry::ScopedTimeSeriesInstall> series_install;
     std::optional<telemetry::SloMonitor> local_monitor;
-    std::optional<telemetry::ScopedSloMonitorInstall> monitor_install;
-    telemetry::TimeSeries *series = telemetry::timeseries();
-    telemetry::SloMonitor *monitor = telemetry::sloMonitor();
-    if (series == nullptr) {
+    Instruments loaded = instruments();
+    if (loaded.series == nullptr) {
         local_series.emplace(telemetry::TimeSeriesConfig{});
-        series_install.emplace(&*local_series);
-        series = &*local_series;
+        loaded.series = &*local_series;
     }
-    if (monitor == nullptr) {
+    if (loaded.slo == nullptr) {
         local_monitor.emplace(
             telemetry::SloMonitor::parseSpec(
                 "p99_latency_us<20;availability>=0.99"),
             telemetry::BurnConfig{});
-        monitor_install.emplace(&*local_monitor);
-        monitor = &*local_monitor;
+        loaded.slo = &*local_monitor;
     }
+    telemetry::TimeSeries *series = loaded.series;
+    telemetry::SloMonitor *monitor = loaded.slo;
+    std::optional<ScopedInstruments> load_install(std::in_place, loaded);
 
     const auto load_set = makeBatches(load_batches, 16, 24, 13);
     const auto arrivals =
@@ -542,5 +540,7 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
+    // Installers nest: restore the session's context before it ends.
+    load_install.reset();
     return session.finish();
 }

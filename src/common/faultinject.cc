@@ -262,15 +262,4 @@ FaultPlan::registerStats(StatGroup &g) const
     }, "faults injected across all hooks");
 }
 
-namespace detail
-{
-FaultPlan *g_plan = nullptr;
-} // namespace detail
-
-void
-setPlan(FaultPlan *p)
-{
-    detail::g_plan = p;
-}
-
 } // namespace fafnir::fault

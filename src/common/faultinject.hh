@@ -12,12 +12,12 @@
  * produces a bit-identical fault schedule — reruns of a faulty
  * experiment reproduce the same injected faults in the same order.
  *
- * Sites fetch the installed plan with fault::plan(); when no plan is
- * installed the call inlines to one load + branch (the same pattern as
- * telemetry::sink()), so the hooks are effectively free in production
- * runs. Each hook keeps checked/fired counters that harnesses register
- * as the "faults" StatGroup, making every injected fault visible in
- * --report / --stats-json artifacts.
+ * Sites fetch the installed plan from instruments().faults (see
+ * common/instruments.hh); when no plan is installed that is one load +
+ * branch, so the hooks are effectively free in production runs. Each
+ * hook keeps checked/fired counters that harnesses register as the
+ * "faults" StatGroup, making every injected fault visible in --report /
+ * --stats-json artifacts.
  *
  * Fault spec grammar (the --faults flag):
  *
@@ -44,6 +44,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/instruments.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -304,47 +305,11 @@ class FaultPlan
     std::array<HookState, kNumHooks> hooks_;
 };
 
-namespace detail
-{
-/** Storage behind plan(); exposed only so plan() can inline. */
-extern FaultPlan *g_plan;
-} // namespace detail
-
-/**
- * The installed process-global plan, or nullptr when fault injection is
- * off. Inlines to a single load so hot paths pay one branch when off.
- */
-inline FaultPlan *
-plan()
-{
-    return detail::g_plan;
-}
-
-/** Install @p p as the global plan (nullptr disables). Not owned. */
-void setPlan(FaultPlan *p);
-
-/** RAII installer: installs a plan for a scope, restores on exit. */
-class ScopedPlanInstall
-{
-  public:
-    explicit ScopedPlanInstall(FaultPlan *p) : previous_(plan())
-    {
-        setPlan(p);
-    }
-    ~ScopedPlanInstall() { setPlan(previous_); }
-
-    ScopedPlanInstall(const ScopedPlanInstall &) = delete;
-    ScopedPlanInstall &operator=(const ScopedPlanInstall &) = delete;
-
-  private:
-    FaultPlan *previous_;
-};
-
 /** RAII fault holiday: suspends the installed plan (if any) in scope. */
 class SuspendFaults
 {
   public:
-    SuspendFaults() : plan_(plan()),
+    SuspendFaults() : plan_(instruments().faults),
                       previous_(plan_ != nullptr && plan_->suspended())
     {
         if (plan_ != nullptr)

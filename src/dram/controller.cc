@@ -34,7 +34,7 @@ Controller::enqueue(Addr addr, unsigned bytes, Tick when,
                               memory_.eventq().currentFlow(),
                               std::move(on_complete)});
     ++pending_;
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->counterEvent(telemetry::kPidDram, "ctrl.pending",
                          std::max(when, memory_.eventq().now()),
                          static_cast<double>(pending_));
@@ -109,10 +109,10 @@ Controller::drain(unsigned rank)
     // Transient command stall (dram_stall hook): the controller backs
     // off and re-drains later, so a stalled pick is a delayed issue — a
     // retry in controller terms — not a lost request.
-    if (fault::FaultPlan *p = fault::plan(); p != nullptr) {
+    if (fault::FaultPlan *p = instruments().faults; p != nullptr) {
         if (const Tick stall = p->dramStallTicks(); stall != 0) {
             ++stalled_;
-            if (auto *ts = telemetry::sink()) {
+            if (auto *ts = instruments().trace) {
                 ts->instantEvent(telemetry::kPidDram,
                                  static_cast<int>(rank), "fault",
                                  "dram_stall", now,
@@ -159,7 +159,7 @@ Controller::drain(unsigned rank)
     queue.nextIssue = result.firstData;
     ++issued_;
     --pending_;
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         // Queueing + service lifetime of the request on its rank track.
         ts->completeEvent(telemetry::kPidDram, static_cast<int>(rank),
                           "dram.ctrl", "request", picked.arrival,
@@ -172,7 +172,7 @@ Controller::drain(unsigned rank)
         ts->counterEvent(telemetry::kPidDram, "ctrl.pending", now,
                          static_cast<double>(pending_));
     }
-    if (auto *attr = telemetry::attribution())
+    if (auto *attr = instruments().attribution)
         attr->recordCtrlResidency(issue_at - picked.arrival);
 
     if (picked.onComplete) {

@@ -193,7 +193,7 @@ traceRead(const Coordinates &coords, const Geometry &geometry,
           unsigned bytes, Tick earliest, const AccessResult &result,
           std::uint64_t flow)
 {
-    auto *ts = telemetry::sink();
+    auto *ts = instruments().trace;
     if (ts == nullptr)
         return;
     const unsigned rank = coords.globalRank(geometry);
@@ -216,13 +216,13 @@ traceRead(const Coordinates &coords, const Geometry &geometry,
 Tick
 injectCommandStall(Tick earliest)
 {
-    fault::FaultPlan *p = fault::plan();
+    fault::FaultPlan *p = instruments().faults;
     if (p == nullptr)
         return earliest;
     const Tick stall = p->dramStallTicks();
     if (stall == 0)
         return earliest;
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->instantEvent(telemetry::kPidDram, 0, "fault", "dram_stall",
                          earliest,
                          {{"stallNs",
@@ -240,13 +240,13 @@ injectCommandStall(Tick earliest)
 Tick
 injectReadLatency(Tick earliest, Tick complete)
 {
-    fault::FaultPlan *p = fault::plan();
+    fault::FaultPlan *p = instruments().faults;
     if (p == nullptr)
         return complete;
     const Tick extra = p->dramLatencyExtra(complete - earliest);
     if (extra == 0)
         return complete;
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->instantEvent(telemetry::kPidDram, 0, "fault", "dram_latency",
                          complete + extra,
                          {{"extraNs",
@@ -283,7 +283,7 @@ MemorySystem::read(Addr addr, unsigned bytes, Tick earliest,
         static_cast<double>(result.complete - earliest) / kTicksPerNs);
     traceRead(head, g, bytes, earliest, result, eventq_.currentFlow());
     // code = rank of the first burst; a = bytes, b = service ticks.
-    if (auto *rec = telemetry::flightRecorder()) {
+    if (auto *rec = instruments().recorder) {
         rec->record(telemetry::Stage::DramService, result.complete,
                     head.rank, bytes, result.complete - earliest);
     }
@@ -393,7 +393,7 @@ MemorySystem::streamFromRank(unsigned rank, std::uint64_t bytes,
         bytesToNdp_ += bytes;
     }
     rankBursts_[rank] += bursts;
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->setThreadName(telemetry::kPidDram, static_cast<int>(rank),
                           "rank " + std::to_string(rank));
         ts->completeEvent(telemetry::kPidDram, static_cast<int>(rank),

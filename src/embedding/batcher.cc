@@ -213,7 +213,7 @@ composeBatchesReference(const std::vector<Query> &queries,
 std::size_t
 injectQueryFaults(Batch &batch, std::uint64_t index_limit)
 {
-    fault::FaultPlan *p = fault::plan();
+    fault::FaultPlan *p = instruments().faults;
     if (p == nullptr)
         return 0;
 

@@ -53,7 +53,7 @@ serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
 
     ServiceReport report;
     report.requests.reserve(batches.size());
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->setThreadName(telemetry::kPidService, 0, "queue");
         ts->setThreadName(telemetry::kPidService, 1, "serve");
     }
@@ -66,7 +66,7 @@ serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
         FAFNIR_ASSERT(request.completed >= request.started,
                       "service went backwards");
         engine_free = request.completed;
-        if (auto *ts = telemetry::sink()) {
+        if (auto *ts = instruments().trace) {
             // Queueing and service phases of each batch as stacked spans,
             // joined by a flow arrow when the batch actually queued.
             const std::string label = "batch " + std::to_string(i);
@@ -86,7 +86,7 @@ serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
                             "service.flow", label, request.started);
             }
         }
-        if (auto *attr = telemetry::attribution())
+        if (auto *attr = instruments().attribution)
             attr->recordBatchQueueWait(request.queueTime());
         report.requests.push_back(request);
     }
@@ -132,7 +132,7 @@ namespace
 void
 traceGuard(const char *what, Tick at, double value)
 {
-    if (auto *ts = telemetry::sink()) {
+    if (auto *ts = instruments().trace) {
         ts->instantEvent(telemetry::kPidService, 2, "service.guard",
                          what, at, {{"n", value}});
     }
@@ -145,7 +145,7 @@ ServiceGuard::ServiceGuard(const GuardConfig &config, ServeFn serve)
 {
     FAFNIR_ASSERT(config_.maxAttempts >= 1,
                   "guard needs at least one serving attempt");
-    if (auto *ts = telemetry::sink())
+    if (auto *ts = instruments().trace)
         ts->setThreadName(telemetry::kPidService, 2, "guard");
 }
 
@@ -191,7 +191,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
     // admission, so one request sees one consistent policy.
     unsigned allowed_attempts = config_.maxAttempts;
     if (config_.sloLoadShed) {
-        telemetry::SloMonitor *monitor = telemetry::sloMonitor();
+        telemetry::SloMonitor *monitor = instruments().slo;
         if (monitor != nullptr && monitor->anyActive()) {
             allowed_attempts = 1;
             ++shedRequests_;
@@ -214,7 +214,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
         for (std::size_t pos : pending)
             ++request.outcomes[pos].attempts;
 
-        fault::FaultPlan *plan = fault::plan();
+        fault::FaultPlan *plan = instruments().faults;
         const std::uint64_t fired_before =
             plan != nullptr ? plan->totalFired() : 0;
         const ServeSample sample = serve_(sub, at);
@@ -249,7 +249,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
                 done > arrival + config_.queryDeadline) {
                 ++timeouts_;
                 traceGuard("timeout", done, static_cast<double>(pos));
-                if (auto *rec = telemetry::flightRecorder()) {
+                if (auto *rec = instruments().recorder) {
                     char detail[96];
                     std::snprintf(
                         detail, sizeof detail,
@@ -285,7 +285,7 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
 
     // Whatever is still pending exhausted its attempts.
     if (!pending.empty()) {
-        if (auto *rec = telemetry::flightRecorder()) {
+        if (auto *rec = instruments().recorder) {
             char detail[96];
             std::snprintf(detail, sizeof detail,
                           "%llu queries exhausted %u attempts",
@@ -332,8 +332,8 @@ ServiceGuard::serve(const Batch &batch, Tick arrival)
     // Feed the windowed telemetry engine and SLO monitor (when
     // installed): per-query latency and availability SLIs, sorted by
     // completion tick so burn-rate windows close in order.
-    telemetry::TimeSeries *series = telemetry::timeseries();
-    telemetry::SloMonitor *monitor = telemetry::sloMonitor();
+    telemetry::TimeSeries *series = instruments().series;
+    telemetry::SloMonitor *monitor = instruments().slo;
     if (series != nullptr || monitor != nullptr) {
         struct SliRow
         {

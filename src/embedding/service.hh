@@ -147,7 +147,7 @@ struct GuardConfig
     std::size_t maxQueryWidth = 0;
     /**
      * Degrade under SLO pressure: while the installed
-     * telemetry::sloMonitor() has any burn-rate alert active, requests
+     * instruments().slo has any burn-rate alert active, requests
      * are served with a single attempt (retries shed), trading
      * recovery effort for queue drain until the alert clears. No-op
      * when no monitor is installed.

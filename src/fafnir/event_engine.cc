@@ -176,8 +176,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     std::vector<Tick> root_times(run.rootOutputs.size(), MaxTick);
 
     // --- Timeline tracing (no-ops when no sink is installed). -----------
-    telemetry::TraceSink *ts = telemetry::sink();
-    telemetry::Attribution *attr = telemetry::attribution();
+    telemetry::TraceSink *ts = instruments().trace;
+    telemetry::Attribution *attr = instruments().attribution;
     const std::uint64_t batch_ordinal = attr ? attr->beginBatch() : 0;
     if (ts) {
         for (unsigned pe = 1; pe <= num_pes; ++pe) {
@@ -355,7 +355,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         // Injected backpressure (pe_backpressure hook): the arrival
         // stalls as if the FIFO had no free slot, mirroring the organic
         // overflow penalty above. Timing-only — values are untouched.
-        if (fault::FaultPlan *p = fault::plan(); p != nullptr) {
+        if (fault::FaultPlan *p = instruments().faults; p != nullptr) {
             if (const Cycles extra = p->peBackpressureCycles();
                 extra != 0) {
                 ++timing.injectedBackpressure;
@@ -482,7 +482,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     // end, emission] splits exactly into pipeline compute and waiting,
     // so the recorded components sum to the end-to-end latency by
     // construction (pinned by tests/test_attribution.cc).
-    if (attr || ts || telemetry::flightRecorder() != nullptr) {
+    if (attr || ts || instruments().recorder != nullptr) {
         if (ts) {
             ts->setThreadName(telemetry::kPidService,
                               kServiceDeliveryTid, "delivery");
@@ -621,7 +621,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         }
         // Per-PE meeting summary (bounded per batch, off the try_emit
         // hot path): code = PE id; a = tree height, b = reduce count.
-        if (auto *rec = telemetry::flightRecorder()) {
+        if (auto *rec = instruments().recorder) {
             for (unsigned p = 1; p <= num_pes; ++p) {
                 std::uint64_t reduces = 0;
                 for (const auto &out : run.trace[p].outputs)

@@ -57,7 +57,7 @@ class VectorPool
     acquire(std::size_t size)
     {
         ++stats_.acquires;
-        if (fault::FaultPlan *p = fault::plan(); p != nullptr) {
+        if (fault::FaultPlan *p = instruments().faults; p != nullptr) {
             if (p->shouldFire(fault::Hook::PoolExhaust)) {
                 ++stats_.exhaustions;
                 return embedding::Vector(size);

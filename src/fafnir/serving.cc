@@ -147,7 +147,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
     Tick writebackFree = start;
     std::vector<Tick> slotRetire(depth, 0);
 
-    telemetry::TraceSink *ts = telemetry::sink();
+    telemetry::TraceSink *ts = instruments().trace;
     if (ts) {
         ts->setThreadName(telemetry::kPidService, kPrepareTid,
                           "pipeline prepare");
@@ -163,9 +163,9 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
 
     // Windowed telemetry and SLO feeds: one load + branch when neither
     // is installed, mirroring the trace-sink pattern.
-    telemetry::TimeSeries *series = telemetry::timeseries();
-    telemetry::SloMonitor *slo = telemetry::sloMonitor();
-    telemetry::FlightRecorder *rec = telemetry::flightRecorder();
+    telemetry::TimeSeries *series = instruments().series;
+    telemetry::SloMonitor *slo = instruments().slo;
+    telemetry::FlightRecorder *rec = instruments().recorder;
     telemetry::WindowedHistogram *winLatency = nullptr;
     telemetry::WindowedHistogram *winQueueWait = nullptr;
     telemetry::WindowedHistogram *winOccupancy = nullptr;
@@ -233,7 +233,7 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
         const unsigned primary = pickEngine(k, engineFree);
         const Tick dispatch_ready = std::max(prepare_done,
                                              engineFree[primary]);
-        telemetry::Attribution *attr = telemetry::attribution();
+        telemetry::Attribution *attr = instruments().attribution;
         EventLookupTiming timing =
             replicas_[primary].engine->lookupPrepared(prepared,
                                                       dispatch_ready);
@@ -268,7 +268,9 @@ ServingPipeline::serve(const std::vector<embedding::Batch> &batches,
                 {
                     // The backup replays the same prepared batch; keep
                     // attribution single-sourced on the primary run.
-                    telemetry::ScopedAttributionInstall off(nullptr);
+                    Instruments unattributed = instruments();
+                    unattributed.attribution = nullptr;
+                    ScopedInstruments off(unattributed);
                     backup_timing =
                         replicas_[backup].engine->lookupPrepared(
                             prepared, backup_start);
@@ -495,7 +497,7 @@ ServingPipeline::printHealthScoreboard(std::ostream &os,
                                         makespan, 1) + "%"
                               : "-";
     };
-    const telemetry::TimeSeries *series = telemetry::timeseries();
+    const telemetry::TimeSeries *series = instruments().series;
     // Windowed columns read the installed engine; "-" when absent or
     // when the metric has no samples.
     const auto winP99 = [&](const std::string &metric) -> std::string {
@@ -542,12 +544,12 @@ ServingPipeline::printHealthScoreboard(std::ostream &os,
     table.row("writeback", n, pct(report.writebackBusy),
               winP99("serving.latency_us"), winRate("serving.queries"),
               "p99 col = end-to-end query latency");
-    if (const fault::FaultPlan *plan = fault::plan()) {
+    if (const fault::FaultPlan *plan = instruments().faults) {
         table.row("faults", plan->totalFired(), "-", "-", "-",
                   "skippedFirings=" +
                       std::to_string(plan->totalSkipped()));
     }
-    if (const telemetry::SloMonitor *slo = telemetry::sloMonitor()) {
+    if (const telemetry::SloMonitor *slo = instruments().slo) {
         table.row("slo", slo->totalFires(), "-", "-", "-",
                   "fires/clears=" + std::to_string(slo->totalFires()) +
                       "/" + std::to_string(slo->totalClears()) +

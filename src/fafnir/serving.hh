@@ -235,7 +235,7 @@ class ServingPipeline
      * Per-stage / per-replica health scoreboard over one run: windowed
      * queue wait, utilization, hedge rate, prepared-slot occupancy, and
      * fault/SLO context when the corresponding globals are installed.
-     * Windowed columns read the installed telemetry::timeseries() and
+     * Windowed columns read the installed instruments().series and
      * print "-" when none is installed.
      */
     void printHealthScoreboard(std::ostream &os,

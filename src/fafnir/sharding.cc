@@ -325,8 +325,8 @@ ShardedServingTier::serve(const std::vector<embedding::Batch> &batches,
         *perShardRefs_[s] += report.refsPerShard[s];
     }
 
-    telemetry::TimeSeries *series = telemetry::timeseries();
-    telemetry::Attribution *attr = telemetry::attribution();
+    telemetry::TimeSeries *series = instruments().series;
+    telemetry::Attribution *attr = instruments().attribution;
     std::vector<telemetry::WindowedCounter *> winShardBatches;
     std::vector<telemetry::WindowedCounter *> winShardRefs;
     telemetry::WindowedHistogram *winCombine = nullptr;
@@ -406,7 +406,7 @@ ShardedServingTier::serve(const std::vector<embedding::Batch> &batches,
                     static_cast<double>(cost) /
                         static_cast<double>(kTicksPerUs));
             // code = shards combined; a = batch, b = combine ticks.
-            if (auto *rec = telemetry::flightRecorder())
+            if (auto *rec = instruments().recorder)
                 rec->record(telemetry::Stage::ShardCombine, combineDone,
                             participants, k, cost);
         }

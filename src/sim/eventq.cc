@@ -189,8 +189,8 @@ EventQueue::activateTick(Tick tick)
     cacheTick_ = tick;
     activeBucket_ = bucket;
     cacheDirty_ = false;
-    curSink_ = telemetry::sink();
-    curRec_ = telemetry::flightRecorder();
+    curSink_ = instruments().trace;
+    curRec_ = instruments().recorder;
     while (node != nullptr) {
         Node *const next = node->next;
         if (next != nullptr)

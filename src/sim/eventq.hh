@@ -404,7 +404,7 @@ class EventQueue
      *  injection off). Sampled once at construction so the hot path
      *  tests a member the schedule state keeps warm anyway — install
      *  the plan before building the simulated system. */
-    fault::FaultPlan *faultPlan_ = fault::plan();
+    fault::FaultPlan *faultPlan_ = instruments().faults;
     /** Ambient causal flow inherited by scheduled one-shots. */
     std::uint64_t currentFlow_ = 0;
     /** Last flow id handed out by beginFlow(). */

@@ -40,7 +40,7 @@
  * partial sums merged.
  *
  * Like the TraceSink, an Attribution is installed process-globally and
- * consulted through one pointer load (`telemetry::attribution()`), so
+ * consulted through one pointer load (`instruments().attribution`), so
  * the engine's hot path pays nothing when attribution is off. Harnesses
  * get it via `--attrib=PATH` on TelemetrySession, which also registers
  * the `attrib.*` StatGroup and writes the JSON artifact.
@@ -54,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "common/instruments.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -209,31 +210,6 @@ class Attribution
     Counter batchQueueTicks_;
     Distribution queryLatencyNs_;
     Distribution criticalHops_;
-};
-
-/** The installed process-global collector, or nullptr when off. */
-Attribution *attribution();
-
-/** Install @p a as the global collector (nullptr disables). Not owned. */
-void setAttribution(Attribution *a);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedAttributionInstall
-{
-  public:
-    explicit ScopedAttributionInstall(Attribution *a)
-        : previous_(attribution())
-    {
-        setAttribution(a);
-    }
-    ~ScopedAttributionInstall() { setAttribution(previous_); }
-
-    ScopedAttributionInstall(const ScopedAttributionInstall &) = delete;
-    ScopedAttributionInstall &
-    operator=(const ScopedAttributionInstall &) = delete;
-
-  private:
-    Attribution *previous_;
 };
 
 } // namespace fafnir::telemetry

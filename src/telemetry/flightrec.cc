@@ -285,17 +285,17 @@ FlightRecorder::writeBundle(std::ostream &os, Trigger kind, Tick tick,
     else
         json.null();
     json.key("faults");
-    if (const fault::FaultPlan *p = fault::plan())
+    if (const fault::FaultPlan *p = instruments().faults)
         writeFaults(json, *p);
     else
         json.null();
     json.key("slo");
-    if (const SloMonitor *m = sloMonitor())
+    if (const SloMonitor *m = instruments().slo)
         writeSlo(json, *m);
     else
         json.null();
     json.key("windows");
-    if (const TimeSeries *ts = timeseries())
+    if (const TimeSeries *ts = instruments().series)
         writeWindows(json, *ts);
     else
         json.null();
@@ -419,17 +419,6 @@ FlightRecorder::registerStats(StatGroup &group) const
     group.addFormula(
         "bundles", [this] { return static_cast<double>(bundlesWritten()); },
         "debug bundles written");
-}
-
-namespace detail
-{
-FlightRecorder *g_flightrec = nullptr;
-} // namespace detail
-
-void
-setFlightRecorder(FlightRecorder *r)
-{
-    detail::g_flightrec = r;
 }
 
 } // namespace fafnir::telemetry

@@ -23,12 +23,11 @@
  * simulated ticks and capped per run, so a pathological run cannot
  * flood the disk.
  *
- * Instrumentation sites follow the fault::plan() pattern: the accessor
- * inlines to a single pointer load, so the record points cost one load
- * + branch when no recorder is installed. Compiling with
- * FAFNIR_FLIGHTREC_COMPILED_OUT makes the accessor a constant nullptr
- * — the configuration CI uses to pin the disabled-recorder overhead of
- * the hot paths at <= 1%.
+ * Instrumentation sites read instruments().recorder, one inlined
+ * pointer load, so the record points cost one load + branch when no
+ * recorder is installed. Compiling with FAFNIR_FLIGHTREC_COMPILED_OUT
+ * makes that field a constant nullptr — the configuration CI uses to
+ * pin the disabled-recorder overhead of the hot paths at <= 1%.
  */
 
 #ifndef FAFNIR_TELEMETRY_FLIGHTREC_HH
@@ -41,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/instruments.hh"
 #include "common/types.hh"
 
 namespace fafnir
@@ -223,48 +223,27 @@ class FlightRecorder
     Tick lastSeenTick_ = 0;
 };
 
-namespace detail
-{
-/** Storage behind flightRecorder(); exposed only so it can inline. */
-extern FlightRecorder *g_flightrec;
-} // namespace detail
-
 /**
- * The installed process-global recorder, or nullptr when off. Inlines
- * to one load so record points pay one branch when disabled; compiles
- * to a constant nullptr under FAFNIR_FLIGHTREC_COMPILED_OUT.
+ * Install @p r as the recorder for a scope, keeping the other
+ * instruments. perfbench/perfbench.cc installs its recorder through
+ * this name and must build unchanged on both sides of an A/B run, so
+ * the name stays; everything else uses ScopedInstruments.
  */
-inline FlightRecorder *
-flightRecorder()
-{
-#ifdef FAFNIR_FLIGHTREC_COMPILED_OUT
-    return nullptr;
-#else
-    return detail::g_flightrec;
-#endif
-}
-
-/** Install @p r as the global recorder (nullptr disables). Not owned. */
-void setFlightRecorder(FlightRecorder *r);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedFlightRecorderInstall
+class ScopedFlightRecorderInstall : ScopedInstruments
 {
   public:
     explicit ScopedFlightRecorderInstall(FlightRecorder *r)
-        : previous_(detail::g_flightrec)
-    {
-        setFlightRecorder(r);
-    }
-    ~ScopedFlightRecorderInstall() { setFlightRecorder(previous_); }
-
-    ScopedFlightRecorderInstall(const ScopedFlightRecorderInstall &) =
-        delete;
-    ScopedFlightRecorderInstall &
-    operator=(const ScopedFlightRecorderInstall &) = delete;
+        : ScopedInstruments(with(r))
+    {}
 
   private:
-    FlightRecorder *previous_;
+    static Instruments
+    with(FlightRecorder *r)
+    {
+        Instruments in = instruments();
+        in.recorder = r;
+        return in;
+    }
 };
 
 } // namespace fafnir::telemetry

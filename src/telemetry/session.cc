@@ -77,52 +77,20 @@ TelemetrySession::registerFlags(FlagParser &flags)
     flags.addDouble("flightrec-gap-us", flightrecGapUs_,
                     "minimum simulated gap between accepted triggers "
                     "of one kind, in microseconds");
-    flags.addUnsigned("serve-engines", serving_.engines,
-                      "engine replicas for the pipelined serving path "
-                      "(0 = serial single-engine)");
-    flags.addUnsigned("pipeline-depth", serving_.pipelineDepth,
-                      "prepared batches in flight (1 = serial rhythm)");
-    flags.addUnsigned("prepare-workers", serving_.prepareWorkers,
-                      "modeled host prepare workers (divides the "
-                      "per-reference prepare cost)");
-    flags.addString("dispatch", serving_.dispatch,
-                    "replica dispatch policy: least-loaded or "
-                    "round-robin");
-    flags.addDouble("hedge-pct", serving_.hedgePct,
-                    "hedge a straggling batch onto a second engine past "
-                    "this running service-time percentile (0 = off)");
-    flags.addUnsigned("shards", serving_.shards,
-                      "shard tables across this many stores behind the "
-                      "sharded serving tier (0 = single store)");
-    flags.addString("placement", serving_.placement,
-                    "table -> shard placement policy: hash or range");
-    flags.addUnsigned("shard-replicas", serving_.shardReplicas,
-                      "engine replicas per shard in the sharded tier");
-    flags.addString("payload", serving_.payload,
-                    "transport payload format for tree links and DRAM "
-                    "reads: fp32, int8, or twobit");
-    flags.addString("payload-accuracy", serving_.payloadAccuracy,
-                    "write the quantization accuracy report (max/mean "
-                    "abs error and relative L2 vs. the exact fp32 path) "
-                    "to this path; serializes parallel sweeps");
 }
 
 void
 TelemetrySession::start()
 {
-    if (!tracePath_.empty()) {
+    if (!tracePath_.empty())
         sink_.emplace();
-        install_.emplace(&*sink_);
-    }
     if (!attribPath_.empty()) {
         attribution_.emplace();
-        attributionInstall_.emplace(&*attribution_);
         attribution_->registerStats(
             StatRegistry::instance().group("attrib"));
     }
     if (!faultSpec_.empty()) {
         plan_.emplace(fault::FaultPlan::parse(faultSpec_, faultSeed_));
-        planInstall_.emplace(&*plan_);
         plan_->registerStats(StatRegistry::instance().group("faults"));
         report_.setConfig("faults", plan_->describe());
         report_.setConfig("faultSeed", faultSeed_);
@@ -134,7 +102,6 @@ TelemetrySession::start()
         config.windowTicks = static_cast<Tick>(
             windowUs_ * static_cast<double>(kTicksPerUs));
         series_.emplace(config);
-        seriesInstall_.emplace(&*series_);
         series_->registerStats(StatRegistry::instance().group("windows"));
         report_.setConfig("windowUs", windowUs_);
     }
@@ -146,7 +113,6 @@ TelemetrySession::start()
         } catch (const std::exception &e) {
             FAFNIR_FATAL("bad --slo spec: ", e.what());
         }
-        monitorInstall_.emplace(&*monitor_);
         monitor_->registerStats(StatRegistry::instance().group("slo"));
         report_.setConfig("slo", sloSpec_);
     }
@@ -163,7 +129,6 @@ TelemetrySession::start()
             flightrecGapUs_ * static_cast<double>(kTicksPerUs));
         fc.bundleDir = bundleDir_;
         flightrec_.emplace(fc);
-        flightrecInstall_.emplace(&*flightrec_);
         flightrec_->registerStats(
             StatRegistry::instance().group("flightrec"));
         flightrec_->setContext("tool", tool_);
@@ -186,6 +151,22 @@ TelemetrySession::start()
             });
         }
     }
+
+    // Instruments left off keep whatever the caller installed.
+    Instruments in = instruments();
+    if (sink_)
+        in.trace = &*sink_;
+    if (attribution_)
+        in.attribution = &*attribution_;
+    if (plan_)
+        in.faults = &*plan_;
+    if (series_)
+        in.series = &*series_;
+    if (monitor_)
+        in.slo = &*monitor_;
+    if (flightrec_)
+        in.recorder = &*flightrec_;
+    install_.emplace(in);
 }
 
 int
@@ -309,17 +290,12 @@ TelemetrySession::finish()
 
     // Groups reference harness-scoped objects; drop them now.
     registry.clear();
-    flightrecInstall_.reset();
-    flightrec_.reset();
-    monitorInstall_.reset();
-    monitor_.reset();
-    seriesInstall_.reset();
-    series_.reset();
-    planInstall_.reset();
-    plan_.reset();
-    attributionInstall_.reset();
-    attribution_.reset();
     install_.reset();
+    flightrec_.reset();
+    monitor_.reset();
+    series_.reset();
+    plan_.reset();
+    attribution_.reset();
     sink_.reset();
     return ok ? 0 : 1;
 }

@@ -252,7 +252,7 @@ SloMonitor::evaluateWindow(std::size_t objective, std::uint64_t window)
         ++st.fires;
         transitions_.push_back(
             {closeTick, objective, true, fastBurn, slowBurn});
-        if (auto *rec = flightRecorder()) {
+        if (auto *rec = instruments().recorder) {
             char detail[96];
             std::snprintf(detail, sizeof detail,
                           "fire:%s fast_burn=%.6g slow_burn=%.6g",
@@ -386,23 +386,6 @@ SloMonitor::registerStats(StatGroup &group) const
 }
 
 // --- Global install ---------------------------------------------------
-
-namespace
-{
-SloMonitor *g_monitor = nullptr;
-}
-
-SloMonitor *
-sloMonitor()
-{
-    return g_monitor;
-}
-
-void
-setSloMonitor(SloMonitor *m)
-{
-    g_monitor = m;
-}
 
 // --- Merged timeline artifact -----------------------------------------
 

@@ -32,9 +32,9 @@
  * is a pure function of the recorded (tick, good) stream —
  * deterministic across runs, --jobs settings, and replica counts.
  *
- * Instrumentation sites use the process-global accessor sloMonitor()
- * (nullptr when disabled), mirroring telemetry::sink() and
- * telemetry::timeseries().
+ * Instrumentation sites read the installed monitor from
+ * instruments().slo (nullptr when disabled), like the other
+ * instruments.
  */
 
 #ifndef FAFNIR_TELEMETRY_SLO_HH
@@ -211,31 +211,6 @@ class SloMonitor
     std::vector<ObjectiveState> states_;
     std::vector<AlertTransition> transitions_;
     Tick lastTick_ = 0;
-};
-
-/** The installed process-global monitor, or nullptr when disabled. */
-SloMonitor *sloMonitor();
-
-/** Install @p m as the global monitor (nullptr disables). Not owned. */
-void setSloMonitor(SloMonitor *m);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedSloMonitorInstall
-{
-  public:
-    explicit ScopedSloMonitorInstall(SloMonitor *m)
-        : previous_(sloMonitor())
-    {
-        setSloMonitor(m);
-    }
-    ~ScopedSloMonitorInstall() { setSloMonitor(previous_); }
-
-    ScopedSloMonitorInstall(const ScopedSloMonitorInstall &) = delete;
-    ScopedSloMonitorInstall &
-    operator=(const ScopedSloMonitorInstall &) = delete;
-
-  private:
-    SloMonitor *previous_;
 };
 
 /**

@@ -28,9 +28,9 @@
  * and bounded state per window, hence log buckets here.
  *
  * Instrumentation sites follow the TraceSink pattern: fetch the
- * process-global engine with telemetry::timeseries(); when none is
- * installed the call returns nullptr and the site reduces to one load +
- * branch, so windowed telemetry is near-zero cost when disabled.
+ * installed engine from instruments().series; when none is installed
+ * the site reduces to one load + branch, so windowed telemetry is
+ * near-zero cost when disabled.
  */
 
 #ifndef FAFNIR_TELEMETRY_TIMESERIES_HH
@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/instruments.hh"
 #include "common/types.hh"
 
 namespace fafnir
@@ -421,31 +422,6 @@ class TimeSeries
     Config config_;
     std::vector<std::unique_ptr<Entry>> entries_;
     Tick lastTick_ = 0;
-};
-
-/** The installed process-global engine, or nullptr when disabled. */
-TimeSeries *timeseries();
-
-/** Install @p ts as the global engine (nullptr disables). Not owned. */
-void setTimeSeries(TimeSeries *ts);
-
-/** RAII installer mirroring ScopedSinkInstall. */
-class ScopedTimeSeriesInstall
-{
-  public:
-    explicit ScopedTimeSeriesInstall(TimeSeries *ts)
-        : previous_(timeseries())
-    {
-        setTimeSeries(ts);
-    }
-    ~ScopedTimeSeriesInstall() { setTimeSeries(previous_); }
-
-    ScopedTimeSeriesInstall(const ScopedTimeSeriesInstall &) = delete;
-    ScopedTimeSeriesInstall &
-    operator=(const ScopedTimeSeriesInstall &) = delete;
-
-  private:
-    TimeSeries *previous_;
 };
 
 } // namespace fafnir::telemetry

@@ -15,8 +15,6 @@ namespace fafnir::telemetry
 namespace
 {
 
-TraceSink *globalSink = nullptr;
-
 /** Ticks (ps) to trace microseconds: 1 tick = 1e-6 us, exact at %.6f. */
 void
 writeTimestamp(JsonWriter &json, const char *key, Tick ticks)
@@ -34,18 +32,6 @@ TraceSink::TraceSink()
     setProcessName(kPidDram, "dram");
     setProcessName(kPidService, "service");
     setProcessName(kPidHarness, "harness");
-}
-
-TraceSink *
-sink()
-{
-    return globalSink;
-}
-
-void
-setSink(TraceSink *s)
-{
-    globalSink = s;
 }
 
 void

@@ -9,8 +9,7 @@
  * construction is exact. The first two are zero for standalone engine
  * runs and back-annotated by the serving pipeline via
  * annotateBatchStages. Also pins the meeting-level histogram, the JSON
- * artifact shape, installation semantics, and that the collector is
- * inert when not installed.
+ * artifact shape, and that the collector is inert when not installed.
  */
 
 #include <gtest/gtest.h>
@@ -68,7 +67,7 @@ TEST(Attribution, ComponentsSumToEndToEndLatency)
     Rig rig;
     core::EventLookupTiming timing;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         timing = rig.lookup(16, 32, 11);
     }
 
@@ -91,7 +90,7 @@ TEST(Attribution, ExactAcrossBatchesAndStartOffsets)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         Tick start = 0;
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             const auto timing = rig.lookup(8, 16, seed, start);
@@ -110,7 +109,7 @@ TEST(Attribution, MeetingHistogramCountsEveryReduce)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         rig.lookup(16, 32, 7);
     }
     const auto &histogram = attr.meetingHistogram();
@@ -127,24 +126,12 @@ TEST(Attribution, MeetingHistogramCountsEveryReduce)
 
 TEST(Attribution, NotInstalledMeansNothingRecorded)
 {
-    ASSERT_EQ(telemetry::attribution(), nullptr);
+    ASSERT_EQ(instruments().attribution, nullptr);
     telemetry::Attribution idle;
     Rig rig;
     rig.lookup(8, 16, 3); // attribution hooks all over the stack
     EXPECT_TRUE(idle.queries().empty());
     EXPECT_TRUE(idle.meetingHistogram().empty());
-}
-
-TEST(Attribution, ScopedInstallRestoresPrevious)
-{
-    telemetry::Attribution outer;
-    telemetry::ScopedAttributionInstall keep(&outer);
-    {
-        telemetry::Attribution inner;
-        telemetry::ScopedAttributionInstall install(&inner);
-        EXPECT_EQ(telemetry::attribution(), &inner);
-    }
-    EXPECT_EQ(telemetry::attribution(), &outer);
 }
 
 TEST(Attribution, BatchStageAnnotationKeepsSumExact)
@@ -156,7 +143,7 @@ TEST(Attribution, BatchStageAnnotationKeepsSumExact)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         rig.lookup(8, 16, 21, 0);
         rig.lookup(8, 16, 22, 50 * kTicksPerUs);
     }
@@ -193,7 +180,7 @@ TEST(Attribution, JsonArtifactRoundTrips)
     telemetry::Attribution attr;
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         rig.lookup(8, 16, 5);
     }
     std::ostringstream os;
@@ -236,7 +223,7 @@ TEST(Attribution, StatsGroupExposesCoverageFormula)
     attr.registerStats(registry.group("attrib"));
     Rig rig;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         rig.lookup(8, 16, 9);
     }
     std::ostringstream os;

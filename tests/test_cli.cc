@@ -12,6 +12,9 @@
 #include "bench/bench_util.hh"
 #include "common/cli.hh"
 #include "common/faultinject.hh"
+#include "telemetry/attribution.hh"
+#include "telemetry/flightrec.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -164,9 +167,9 @@ TEST(Cli, RejectsDuplicateRegistrationAcrossTypes)
 
 TEST(ClampParallelism, PassesThroughWithoutTelemetry)
 {
-    ASSERT_EQ(telemetry::sink(), nullptr);
-    ASSERT_EQ(fault::plan(), nullptr);
-    ASSERT_EQ(telemetry::timeseries(), nullptr);
+    ASSERT_EQ(instruments().trace, nullptr);
+    ASSERT_EQ(instruments().faults, nullptr);
+    ASSERT_EQ(instruments().series, nullptr);
     EXPECT_EQ(bench::clampReasons(), "");
     EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 8u);
     EXPECT_EQ(bench::sweepJobs(4), 4u);
@@ -176,34 +179,48 @@ TEST(ClampParallelism, ClampsToOneUnderEachFacility)
 {
     {
         telemetry::TraceSink sink;
-        telemetry::ScopedSinkInstall install(&sink);
+        ScopedInstruments install({.trace = &sink});
         EXPECT_EQ(bench::clampReasons(), "--trace");
         EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
     }
     {
         fault::FaultPlan plan =
             fault::FaultPlan::parse("dram_latency:0.1", 1);
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
         EXPECT_EQ(bench::clampReasons(), "--faults");
         EXPECT_EQ(bench::clampParallelism(4, "--jobs"), 1u);
     }
     {
         telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
-        telemetry::ScopedTimeSeriesInstall install(&series);
+        ScopedInstruments install({.series = &series});
         EXPECT_EQ(bench::clampReasons(), "--timeline/--slo");
         EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
     }
 #ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
     {
         telemetry::FlightRecorder rec;
-        telemetry::ScopedFlightRecorderInstall install(&rec);
+        ScopedInstruments install({.recorder = &rec});
         EXPECT_EQ(bench::clampReasons(), "--debug-bundle-dir");
         EXPECT_EQ(bench::clampParallelism(2, "--jobs"), 1u);
     }
 #endif
+    {
+        // Sweep points sharing one collector race on its query list.
+        telemetry::Attribution attr;
+        ScopedInstruments install({.attribution = &attr});
+        EXPECT_EQ(bench::clampReasons(), "--attrib");
+        EXPECT_EQ(bench::clampParallelism(4, "--jobs"), 1u);
+    }
+    {
+        telemetry::SloMonitor monitor(
+            telemetry::SloMonitor::parseSpec("availability>=0.99"),
+            telemetry::BurnConfig{});
+        ScopedInstruments install({.slo = &monitor});
+        EXPECT_EQ(bench::clampReasons(), "--timeline/--slo");
+    }
     // A request of 1 is already serial: no clamp, whatever's installed.
     telemetry::TraceSink sink;
-    telemetry::ScopedSinkInstall install(&sink);
+    ScopedInstruments install({.trace = &sink});
     EXPECT_EQ(bench::clampParallelism(1, "--jobs"), 1u);
 }
 
@@ -213,35 +230,11 @@ TEST(ClampParallelism, ReportsAllActiveReasonsAtOnce)
     // so a user who removed the flag it blamed just got a new one-line
     // surprise on the next run. All active reasons must be listed.
     telemetry::TraceSink sink;
-    telemetry::ScopedSinkInstall sink_install(&sink);
     fault::FaultPlan plan = fault::FaultPlan::parse("dram_latency:0.1", 1);
-    fault::ScopedPlanInstall plan_install(&plan);
     telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
-    telemetry::ScopedTimeSeriesInstall series_install(&series);
+    ScopedInstruments install(
+        {.trace = &sink, .series = &series, .faults = &plan});
 
     EXPECT_EQ(bench::clampReasons(), "--trace, --faults, --timeline/--slo");
     EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
-}
-
-TEST(ClampParallelism, PayloadAccuracySerializesSweeps)
-{
-    // The accuracy report's error-feedback stream carries per-vector
-    // residual state across rounds (order-dependent), so a sweep that
-    // writes one must run serial — and the clamp must say why.
-    ASSERT_EQ(bench::clampReasons(), "");
-    bench::payloadAccuracyActive() = true;
-    EXPECT_EQ(bench::clampReasons(), "--payload-accuracy");
-    EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 1u);
-    EXPECT_EQ(bench::sweepJobs(4), 1u);
-
-    {
-        // Composes with the other serializing facilities, listed last.
-        telemetry::TraceSink sink;
-        telemetry::ScopedSinkInstall install(&sink);
-        EXPECT_EQ(bench::clampReasons(), "--trace, --payload-accuracy");
-    }
-
-    bench::payloadAccuracyActive() = false;
-    EXPECT_EQ(bench::clampReasons(), "");
-    EXPECT_EQ(bench::clampParallelism(8, "--jobs"), 8u);
 }

@@ -215,7 +215,7 @@ TEST(Conformance, RecoverableFaultsNeverChangeValues)
         "dram_latency:0.3,dram_stall:0.2,event_delay:0.3,"
         "pe_backpressure:0.3,pool_exhaust:0.5",
         77);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     const Batch batch = ConformanceRig().makeBatch(12, 16, 107);
     for (ReduceOp op : kAllOps) {
@@ -238,7 +238,7 @@ TEST(Conformance, FaultedTimingIsSeedDeterministic)
     auto run_once = [&batch] {
         fault::FaultPlan plan = fault::FaultPlan::parse(
             "dram_latency:0.2,event_delay:0.2", 13);
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
         ConformanceRig rig;
         core::EventEngineConfig cfg;
         core::EventDrivenEngine engine(rig.memory, rig.layout, cfg);
@@ -324,7 +324,7 @@ TEST(Conformance, PipelinedServingDeterministicUnderFaultsWithHedging)
     auto run_once = [&batches] {
         fault::FaultPlan plan = fault::FaultPlan::parse(
             "dram_latency:0.2,event_delay:0.2,pool_exhaust:0.3", 23);
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
         ConformanceRig rig;
         return servePipelined(batches, ReduceOp::Sum, 2, 2, 50.0,
                               rig.store);
@@ -362,7 +362,7 @@ TEST(Conformance, GuardServesOrTagsUnderFaults)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse(
         "dram_latency:0.2,query_malformed:0.15,query_dup_index:0.1", 19);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     ConformanceRig rig;
     core::EventDrivenEngine engine(rig.memory, rig.layout,

@@ -103,7 +103,7 @@ TEST(FaultPlan, DisabledHooksCostNothing)
 
 TEST(FaultPlan, NoPlanInstalledByDefault)
 {
-    EXPECT_EQ(fault::plan(), nullptr);
+    EXPECT_EQ(instruments().faults, nullptr);
 }
 
 TEST(FaultPlan, FiringRateMatchesConfiguration)
@@ -223,27 +223,10 @@ TEST(FaultPlan, SuspensionDoesNotAdvanceStreams)
               b.checkedCount(fault::Hook::PoolExhaust) + 500);
 }
 
-TEST(FaultPlan, ScopedInstallRestoresPrevious)
-{
-    fault::FaultPlan outer(1);
-    fault::FaultPlan inner(2);
-    ASSERT_EQ(fault::plan(), nullptr);
-    {
-        fault::ScopedPlanInstall install_outer(&outer);
-        EXPECT_EQ(fault::plan(), &outer);
-        {
-            fault::ScopedPlanInstall install_inner(&inner);
-            EXPECT_EQ(fault::plan(), &inner);
-        }
-        EXPECT_EQ(fault::plan(), &outer);
-    }
-    EXPECT_EQ(fault::plan(), nullptr);
-}
-
 TEST(FaultPlan, SuspendFaultsRaii)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse("pool_exhaust:1", 1);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
     {
         fault::SuspendFaults holiday;
         EXPECT_TRUE(plan.suspended());
@@ -256,7 +239,7 @@ TEST(FaultPlan, SuspendFaultsRaii)
 TEST(FaultEventQueue, DelayIsAdditiveOnly)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse("event_delay:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     std::vector<Tick> fired_at;
@@ -280,7 +263,7 @@ TEST(FaultEventQueue, DelayIsAdditiveOnly)
 TEST(FaultEventQueue, DropSuppressesOneShots)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse("event_drop:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;
@@ -294,7 +277,7 @@ TEST(FaultEventQueue, DropSuppressesOneShots)
 TEST(FaultEventQueue, DupDeliversOneShotsTwice)
 {
     fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;
@@ -306,7 +289,7 @@ TEST(FaultEventQueue, DupDeliversOneShotsTwice)
 
 TEST(FaultEventQueue, NoPlanLeavesScheduleExact)
 {
-    ASSERT_EQ(fault::plan(), nullptr);
+    ASSERT_EQ(instruments().faults, nullptr);
     EventQueue eq;
     std::vector<Tick> fired_at;
     for (Tick when : {500, 300, 100, 400, 200}) {
@@ -324,7 +307,7 @@ TEST(FaultEventQueue, DropSkipsOneRegisteredFiringAndRecovers)
     // and counted — instead of merely warned about, and the event is
     // left unscheduled so the owner's next schedule() recovers it.
     fault::FaultPlan plan = fault::FaultPlan::parse("event_drop:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;
@@ -353,7 +336,7 @@ TEST(FaultEventQueue, DupEchoesRegisteredFiring)
     // A certain dup files a generation-guarded echo after the real
     // node: a callback that does not reschedule fires twice.
     fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;
@@ -371,7 +354,7 @@ TEST(FaultEventQueue, DupEchoSuppressedWhenEventMovesOn)
     // idiom), the generation bump invalidates the echo: it must be
     // suppressed and counted as a skipped firing, not double-fire.
     fault::FaultPlan plan = fault::FaultPlan::parse("event_dup:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;
@@ -399,7 +382,7 @@ TEST(FaultEventQueue, UnarmedLossyHooksSkipNothing)
     // A delay-only plan touches registered events legitimately: no
     // skip accounting, no warning.
     fault::FaultPlan plan = fault::FaultPlan::parse("event_delay:1", 3);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     EventQueue eq;
     int delivered = 0;

@@ -93,7 +93,7 @@ TEST(FlightRecorder, PartiallyFilledRingKeepsInsertionOrder)
 
 TEST(FlightRecorder, GuardOffMeansZeroRecords)
 {
-    ASSERT_EQ(flightRecorder(), nullptr);
+    ASSERT_EQ(instruments().recorder, nullptr);
 
     // The instrumented hot paths run; nothing is recorded anywhere
     // because no recorder is installed.
@@ -111,21 +111,21 @@ TEST(FlightRecorder, GuardOffMeansZeroRecords)
 
 TEST(FlightRecorder, AmbientGuardSeesInstalledRecorder)
 {
-    ASSERT_EQ(flightRecorder(), nullptr);
+    ASSERT_EQ(instruments().recorder, nullptr);
     FlightRecorder rec;
     {
-        ScopedFlightRecorderInstall install(&rec);
+        ScopedInstruments install({.recorder = &rec});
 #ifdef FAFNIR_FLIGHTREC_COMPILED_OUT
-        EXPECT_EQ(flightRecorder(), nullptr);
+        EXPECT_EQ(instruments().recorder, nullptr);
 #else
-        EXPECT_EQ(flightRecorder(), &rec);
+        EXPECT_EQ(instruments().recorder, &rec);
         EventQueue eq;
         eq.scheduleFn(5, [] {});
         eq.run();
         EXPECT_GE(rec.recordedCount(Stage::EventqDispatch), 1u);
 #endif
     }
-    EXPECT_EQ(flightRecorder(), nullptr);
+    EXPECT_EQ(instruments().recorder, nullptr);
 }
 
 TEST(FlightRecorder, TriggerRateLimitPerKindAndBundleCap)
@@ -207,11 +207,9 @@ TEST(FlightRecorder, SameSeedRunsWriteByteIdenticalBundles)
         config.minGapTicks = 50;
         config.bundleDir = dir.string();
         FlightRecorder rec(config);
-        ScopedFlightRecorderInstall install(&rec);
-
         fault::FaultPlan plan =
             fault::FaultPlan::parse("event_delay:0.2", 99);
-        fault::ScopedPlanInstall planInstall(&plan);
+        ScopedInstruments install({.recorder = &rec, .faults = &plan});
         plan.setFireListener([&rec](fault::Hook hook) {
             rec.trigger(Trigger::FaultHook, rec.lastSeenTick(),
                         std::string("hook:") + fault::toString(hook));

@@ -163,8 +163,8 @@ TEST(FaultSpecFuzz, MalformedSpecsRejectWithErrorNotCrash)
         // Mutations can cancel out; accepted specs just have to be
         // reusable, which install/uninstall exercises.
         if (plan.has_value()) {
-            fault::ScopedPlanInstall install(&*plan);
-            EXPECT_EQ(fault::plan(), &*plan);
+            ScopedInstruments install({.faults = &*plan});
+            EXPECT_EQ(instruments().faults, &*plan);
         }
     }
     // The mutation engine must actually produce invalid specs, or this
@@ -183,7 +183,7 @@ TEST(FaultSpecFuzz, ParsedPlansSurviveGuardedService)
     for (std::size_t iter = 0; iter < runs; ++iter) {
         fault::FaultPlan plan =
             fault::FaultPlan::parse(fuzzer.valid(), fuzzer.seed());
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
 
         EventQueue eq;
         dram::MemorySystem memory(
@@ -261,7 +261,7 @@ TEST(FaultSpecFuzz, TimingHooksKeepEventEngineLive)
             spec = "dram_latency:0.5";
         fault::FaultPlan plan =
             fault::FaultPlan::parse(spec, fuzzer.seed());
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
 
         EventQueue eq;
         dram::MemorySystem memory(

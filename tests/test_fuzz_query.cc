@@ -251,7 +251,7 @@ TEST(FuzzQuery, GuardedServiceNeverCrashesUnderFaultPlan)
         "dram_latency:0.1,dram_stall:0.05,query_malformed:0.1,"
         "query_oversized:0.05,query_dup_index:0.1",
         31);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
 
     FuzzRig rig;
     ServiceGuard guard(rig.guardConfig(), rig.checkedServe());
@@ -387,7 +387,7 @@ TEST(FuzzQuery, SameSeedSameOutcomes)
         fault::FaultPlan plan =
             fault::FaultPlan::parse("query_malformed:0.2,dram_latency:0.1",
                                     47);
-        fault::ScopedPlanInstall install(&plan);
+        ScopedInstruments install({.faults = &plan});
         FuzzRig rig;
         ServiceGuard guard(rig.guardConfig(), rig.checkedServe());
         QueryFuzzer fuzzer(17, rig.tables.totalVectors());

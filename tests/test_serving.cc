@@ -241,7 +241,7 @@ TEST(ServingPipeline, PrepareWorkersOnlyChangeModeledCost)
                          " faulted=" + std::to_string(faulted));
             fault::FaultPlan plan = fault::FaultPlan::parse(
                 "dram_latency:0.3,event_delay:0.2,pool_exhaust:0.5", 5);
-            fault::ScopedPlanInstall install(faulted ? &plan : nullptr);
+            ScopedInstruments install({.faults = faulted ? &plan : nullptr});
             auto replicas = makeEventReplicas(
                 2, {}, smallTables(), valueConfig(ReduceOp::Sum), &store);
             ServingConfig cfg;
@@ -387,7 +387,7 @@ TEST(ServingPipeline, AttributionStaysExactWithPipelineStages)
 
     telemetry::Attribution attr;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         pipeline.serve(batches, kTicksPerUs);
     }
     ASSERT_FALSE(attr.queries().empty());

@@ -153,7 +153,7 @@ TEST(ShardedTier, BitIdenticalUnderFaultPlan)
     const auto batches = makeBatches(5, 12, 16, 67);
     fault::FaultPlan plan =
         fault::FaultPlan::parse("dram_latency:0.3,event_delay:0.2", 5);
-    fault::ScopedPlanInstall install(&plan);
+    ScopedInstruments install({.faults = &plan});
     for (ReduceOp op : {ReduceOp::Sum, ReduceOp::Mean}) {
         for (unsigned shards : {2u, 4u}) {
             SCOPED_TRACE(std::string("op=") + toString(op) +
@@ -330,7 +330,7 @@ TEST(ShardedTier, AttributionStaysExactThroughShardCombine)
 
     telemetry::Attribution attr;
     {
-        telemetry::ScopedAttributionInstall install(&attr);
+        ScopedInstruments install({.attribution = &attr});
         tier.serve(batches, kTicksPerUs);
     }
     ASSERT_FALSE(attr.queries().empty());

@@ -1,8 +1,9 @@
 /**
  * @file
  * Telemetry tests: percentile math, stats serialization round-trips,
- * trace-sink output validity, disabled-by-default tracing, and the
- * per-run report artifact. Every emitted document is parsed back with a
+ * trace-sink output validity, disabled-by-default tracing, the
+ * instrumentation context's scoped installs, and the per-run report
+ * artifact. Every emitted document is parsed back with a
  * small JSON parser so a serialization regression fails loudly instead
  * of producing artifacts Perfetto rejects.
  */
@@ -15,10 +16,14 @@
 
 #include "json_test_util.hh"
 
+#include "common/faultinject.hh"
 #include "common/stats.hh"
 #include "embedding/generator.hh"
 #include "fafnir/event_engine.hh"
+#include "telemetry/attribution.hh"
+#include "telemetry/flightrec.hh"
 #include "telemetry/report.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/trace_sink.hh"
 
 using namespace fafnir;
@@ -192,11 +197,64 @@ TEST(StatRegistry, GroupIsGetOrCreate)
     EXPECT_EQ(registry.size(), 0u);
 }
 
+// --- Instrumentation context. -----------------------------------------
+
+TEST(Instruments, NestedInstallersRestoreThePreviousContext)
+{
+    ASSERT_EQ(instruments().trace, nullptr);
+    ASSERT_EQ(instruments().faults, nullptr);
+    telemetry::TraceSink outer_sink;
+    telemetry::TraceSink inner_sink;
+    fault::FaultPlan plan(1);
+    {
+        ScopedInstruments outer({.trace = &outer_sink, .faults = &plan});
+        {
+            ScopedInstruments inner({.trace = &inner_sink});
+            EXPECT_EQ(instruments().trace, &inner_sink);
+            EXPECT_EQ(instruments().faults, nullptr);
+        }
+        EXPECT_EQ(instruments().trace, &outer_sink);
+        EXPECT_EQ(instruments().faults, &plan);
+    }
+    EXPECT_EQ(instruments().trace, nullptr);
+    EXPECT_EQ(instruments().faults, nullptr);
+}
+
+TEST(Instruments, NullingOneFieldKeepsTheOtherFive)
+{
+    // The serving pipeline's hedge backup runs with attribution off and
+    // every other instrument still installed.
+    telemetry::TraceSink sink;
+    telemetry::Attribution attr;
+    telemetry::TimeSeries series(telemetry::TimeSeriesConfig{});
+    telemetry::SloMonitor slo(
+        telemetry::SloMonitor::parseSpec("availability>=0.99"),
+        telemetry::BurnConfig{});
+    telemetry::FlightRecorder rec;
+    fault::FaultPlan plan(1);
+    ScopedInstruments all({&sink, &attr, &series, &slo, &rec, &plan});
+    // nullptr under FAFNIR_FLIGHTREC_COMPILED_OUT, &rec otherwise.
+    telemetry::FlightRecorder *const recorder = instruments().recorder;
+    {
+        Instruments unattributed = instruments();
+        unattributed.attribution = nullptr;
+        ScopedInstruments off(unattributed);
+        const Instruments in = instruments();
+        EXPECT_EQ(in.attribution, nullptr);
+        EXPECT_EQ(in.trace, &sink);
+        EXPECT_EQ(in.series, &series);
+        EXPECT_EQ(in.slo, &slo);
+        EXPECT_EQ(in.recorder, recorder);
+        EXPECT_EQ(in.faults, &plan);
+    }
+    EXPECT_EQ(instruments().attribution, &attr);
+}
+
 // --- Trace sink. ------------------------------------------------------
 
 TEST(TraceSink, DisabledSinkRecordsNothing)
 {
-    ASSERT_EQ(telemetry::sink(), nullptr);
+    ASSERT_EQ(instruments().trace, nullptr);
     telemetry::TraceSink uninstalled;
     runOneLookup(); // instrumented sites all over the stack
     EXPECT_EQ(uninstalled.eventCount(), 0u);
@@ -206,11 +264,11 @@ TEST(TraceSink, InstalledSinkCapturesTheLookup)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
-        ASSERT_EQ(telemetry::sink(), &sink);
+        ScopedInstruments install({.trace = &sink});
+        ASSERT_EQ(instruments().trace, &sink);
         runOneLookup();
     }
-    EXPECT_EQ(telemetry::sink(), nullptr);
+    EXPECT_EQ(instruments().trace, nullptr);
     EXPECT_GT(sink.eventCount(), 0u);
 }
 
@@ -255,7 +313,7 @@ TEST(TraceSink, EndToEndTraceOfALookupParses)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
+        ScopedInstruments install({.trace = &sink});
         runOneLookup();
     }
     std::ostringstream os;
@@ -340,7 +398,7 @@ TEST(TraceSink, LookupEmitsWellFormedFlowPairs)
 {
     telemetry::TraceSink sink;
     {
-        telemetry::ScopedSinkInstall install(&sink);
+        ScopedInstruments install({.trace = &sink});
         runOneLookup();
     }
     std::ostringstream os;

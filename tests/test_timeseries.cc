@@ -481,22 +481,6 @@ TEST(TimeSeries, GetOrCreateAndTimeline)
     EXPECT_LT(out.find("\"tick\":0"), out.find("\"tick\":200"));
 }
 
-TEST(TimeSeries, ScopedInstallRestoresPrevious)
-{
-    EXPECT_EQ(timeseries(), nullptr);
-    TimeSeries outer;
-    {
-        ScopedTimeSeriesInstall a(&outer);
-        EXPECT_EQ(timeseries(), &outer);
-        {
-            ScopedTimeSeriesInstall off(nullptr);
-            EXPECT_EQ(timeseries(), nullptr);
-        }
-        EXPECT_EQ(timeseries(), &outer);
-    }
-    EXPECT_EQ(timeseries(), nullptr);
-}
-
 // --- SLO spec parsing -------------------------------------------------
 
 TEST(SloSpec, ParsesLatencyAndAvailabilityObjectives)
@@ -662,7 +646,7 @@ TEST(SloLoadShed, ActiveAlertForcesSingleAttempt)
     feedWindow(monitor, 0, 0, 10);
     monitor.flush(99); // closes window 0 only -> fire, still active
     ASSERT_TRUE(monitor.anyActive());
-    ScopedSloMonitorInstall install(&monitor);
+    ScopedInstruments install({.slo = &monitor});
 
     embedding::GuardConfig config;
     config.queryDeadline = 10; // unmeetable: every attempt expires

@@ -18,6 +18,16 @@
  *   --trace=trace.json      Chrome trace of the run (Perfetto-viewable)
  *   --report=run.json       per-run report artifact (config + metrics)
  *
+ * Serving (lookup mode, --engine=event; see docs/PERFORMANCE.md):
+ *   --serve-engines=4       pipelined serving over 4 engine replicas
+ *                           (--pipeline-depth, --dispatch, --hedge-pct,
+ *                           --prepare-workers)
+ *   --shards=2              sharded serving tier (--placement,
+ *                           --shard-replicas)
+ *   --payload=int8          quantized transport: fp32 | int8 | twobit
+ *                           (any lookup engine tree; --payload-accuracy
+ *                           writes the accuracy report)
+ *
  * Fault injection (see docs/ROBUSTNESS.md):
  *   --faults=dram_latency:0.1,event_delay:0.05   install a fault plan
  *   --fault-seed=7          deterministic fault-schedule seed
@@ -90,6 +100,20 @@ struct Options
     unsigned nodes = 1u << 14;
     unsigned reach = 64;
     double nnzPerRow = 8.0;
+    // Serving knobs: --serve-engines > 0 selects the pipelined path,
+    // --shards > 0 the sharded tier.
+    unsigned serveEngines = 0;
+    unsigned pipelineDepth = 2;
+    /** Modeled host prepare workers (a cost-model parameter, not
+     *  threads). */
+    unsigned prepareWorkers = 1;
+    std::string dispatch = "least-loaded";
+    double hedgePct = 0.0;
+    unsigned shards = 0;
+    std::string placement = "hash";
+    unsigned shardReplicas = 1;
+    std::string payloadName = "fp32";
+    std::string payloadAccuracy;
     // Parsed from --payload after flag parsing (see main).
     embedding::PayloadFormat payload = embedding::PayloadFormat::Fp32;
 };
@@ -135,20 +159,19 @@ makeBatches(const Options &opt, const embedding::TableConfig &tables)
  *  depth, --dispatch, --hedge-pct, the modeled --prepare-workers, and
  *  the lookup mode's dedup/payload. */
 void
-applyServingOptions(const Options &opt, const telemetry::ServingOptions &so,
-                    core::ServingConfig &sc)
+applyServingOptions(const Options &opt, core::ServingConfig &sc)
 {
-    sc.pipelineDepth = so.pipelineDepth;
-    sc.hedgePct = so.hedgePct;
+    sc.pipelineDepth = opt.pipelineDepth;
+    sc.hedgePct = opt.hedgePct;
     sc.dedup = opt.dedup;
     sc.payload = opt.payload;
-    sc.prepareWorkers = std::max(1u, so.prepareWorkers);
-    if (so.dispatch == "least-loaded")
+    sc.prepareWorkers = std::max(1u, opt.prepareWorkers);
+    if (opt.dispatch == "least-loaded")
         sc.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (so.dispatch == "round-robin")
+    else if (opt.dispatch == "round-robin")
         sc.dispatch = core::DispatchPolicy::RoundRobin;
     else
-        FAFNIR_FATAL("unknown --dispatch '", so.dispatch,
+        FAFNIR_FATAL("unknown --dispatch '", opt.dispatch,
                      "' (expected least-loaded or round-robin)");
 }
 
@@ -321,7 +344,7 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
         complete = std::max(complete, r.completed);
     const double us_total = static_cast<double>(complete) / kTicksPerUs;
 
-    const fault::FaultPlan &plan = *session.faultPlan();
+    const fault::FaultPlan &plan = *instruments().faults;
     std::printf("engine=%s ranks=%u batches=%u batch=%u q=%u "
                 "(guarded, faults=%s seed=%llu)\n",
                 opt.engine.c_str(), opt.ranks, opt.batches, opt.batch,
@@ -392,19 +415,17 @@ runPipelinedLookup(const Options &opt,
                      "error: --serve-engines requires --engine=event\n");
         return 2;
     }
-    const telemetry::ServingOptions &so = session.serving();
-
     core::ServingConfig sc;
-    sc.engines = so.engines;
-    applyServingOptions(opt, so, sc);
+    sc.engines = opt.serveEngines;
+    applyServingOptions(opt, sc);
 
     telemetry::RunReport &run = session.report();
     run.setConfig("serveEngines",
-                  static_cast<std::uint64_t>(so.engines));
+                  static_cast<std::uint64_t>(opt.serveEngines));
     run.setConfig("pipelineDepth",
-                  static_cast<std::uint64_t>(so.pipelineDepth));
-    run.setConfig("dispatch", so.dispatch);
-    run.setConfig("hedgePct", so.hedgePct);
+                  static_cast<std::uint64_t>(opt.pipelineDepth));
+    run.setConfig("dispatch", opt.dispatch);
+    run.setConfig("hedgePct", opt.hedgePct);
     run.setConfig("prepareWorkers",
                   static_cast<std::uint64_t>(sc.prepareWorkers));
 
@@ -413,7 +434,7 @@ runPipelinedLookup(const Options &opt,
     ecfg.base.dedup = opt.dedup;
     ecfg.base.interactive = opt.interactive;
     std::vector<core::EngineReplica> replicas = core::makeEventReplicas(
-        so.engines, memoryConfig(opt), tables, ecfg, nullptr);
+        opt.serveEngines, memoryConfig(opt), tables, ecfg, nullptr);
     const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     core::ServingPipeline pipeline(sc, replicas, nullptr);
@@ -424,8 +445,8 @@ runPipelinedLookup(const Options &opt,
     const auto queries = static_cast<double>(opt.batches) * opt.batch;
     std::printf("engine=event serving: %u replicas, depth %u, %s "
                 "dispatch, hedge %.0f%%, %u prepare workers\n",
-                so.engines, sc.pipelineDepth, so.dispatch.c_str(),
-                so.hedgePct, sc.prepareWorkers);
+                opt.serveEngines, sc.pipelineDepth, opt.dispatch.c_str(),
+                opt.hedgePct, sc.prepareWorkers);
     std::printf("time: %.2f us makespan, %.1f ns/query, "
                 "%.0f batches/s\n",
                 us_total, us_total * 1000.0 / queries,
@@ -476,23 +497,21 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
                      "error: --shards requires --engine=event\n");
         return 2;
     }
-    const telemetry::ServingOptions &so = session.serving();
-
     core::ShardTierConfig tc;
-    tc.shards = so.shards;
-    tc.placement = core::parsePlacement(so.placement);
-    tc.serving.engines = std::max(1u, so.shardReplicas);
-    applyServingOptions(opt, so, tc.serving);
+    tc.shards = opt.shards;
+    tc.placement = core::parsePlacement(opt.placement);
+    tc.serving.engines = std::max(1u, opt.shardReplicas);
+    applyServingOptions(opt, tc.serving);
 
     telemetry::RunReport &run = session.report();
     run.setConfig("shards", static_cast<std::uint64_t>(tc.shards));
-    run.setConfig("placement", so.placement);
+    run.setConfig("placement", opt.placement);
     run.setConfig("shardReplicas",
                   static_cast<std::uint64_t>(tc.serving.engines));
     run.setConfig("pipelineDepth",
-                  static_cast<std::uint64_t>(so.pipelineDepth));
-    run.setConfig("dispatch", so.dispatch);
-    run.setConfig("hedgePct", so.hedgePct);
+                  static_cast<std::uint64_t>(opt.pipelineDepth));
+    run.setConfig("dispatch", opt.dispatch);
+    run.setConfig("hedgePct", opt.hedgePct);
     run.setConfig("prepareWorkers",
                   static_cast<std::uint64_t>(tc.serving.prepareWorkers));
 
@@ -538,7 +557,7 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
         }
         if (batch_mismatches > 0) {
             mismatches += batch_mismatches;
-            if (auto *rec = telemetry::flightRecorder()) {
+            if (auto *rec = instruments().recorder) {
                 char detail[96];
                 std::snprintf(
                     detail, sizeof detail,
@@ -555,7 +574,7 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     std::printf("engine=event sharded serving: %u shards (%s "
                 "placement), %u replicas/shard, depth %u, %u prepare "
                 "workers\n",
-                tc.shards, so.placement.c_str(), tc.serving.engines,
+                tc.shards, opt.placement.c_str(), tc.serving.engines,
                 tc.serving.pipelineDepth, tc.serving.prepareWorkers);
     std::printf("time: %.2f us makespan, %.0f batches/s\n", us_total,
                 served.requestsPerSecond());
@@ -612,7 +631,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     dram::MemorySystem memory(eq, mem.geometry, mem.timing, mem.interleave,
                               mem.blockBytes);
     dram::CommandLog cmdlog;
-    if (session.traceSink() != nullptr)
+    if (instruments().trace != nullptr)
         memory.attachCommandLog(&cmdlog);
     const embedding::TableConfig tables = tableConfig();
     const embedding::VectorLayout layout(tables, memory.mapper());
@@ -652,7 +671,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     const bool quant_check =
         opt.engine == "event" &&
         (opt.payload != embedding::PayloadFormat::Fp32 ||
-         !session.serving().payloadAccuracy.empty());
+         !opt.payloadAccuracy.empty());
     std::unique_ptr<embedding::EmbeddingStore> store;
 
     // The event engine outlives the run so its per-PE counters can be
@@ -793,7 +812,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
         run.setMetric("payloadMaxAbsError", max_abs);
         run.setMetric("payloadMeanAbsError", mean_abs);
         run.setMetric("payloadRelL2", rel_l2);
-        const std::string &acc_path = session.serving().payloadAccuracy;
+        const std::string &acc_path = opt.payloadAccuracy;
         if (!acc_path.empty()) {
             std::ofstream os(acc_path);
             if (!os) {
@@ -820,7 +839,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
         }
     }
 
-    if (auto *attr = session.attribution();
+    if (auto *attr = instruments().attribution;
         attr != nullptr && !attr->queries().empty()) {
         Tick dram = 0, ctrl = 0, compute = 0, wait = 0, service = 0,
              total = 0;
@@ -867,7 +886,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     if (opt.engine == "analytic" || opt.engine == "event")
         payload.setMetrics(run, tables.dim());
 
-    if (auto *ts = session.traceSink())
+    if (auto *ts = instruments().trace)
         dram::writeTrace(cmdlog, *ts);
     return session.finish();
 }
@@ -1026,17 +1045,44 @@ main(int argc, char **argv)
     flags.addBool("slo-shed", opt.sloShed,
                   "guarded serving: shed retries (single attempt) while "
                   "an --slo burn-rate alert is active");
+    flags.addUnsigned("serve-engines", opt.serveEngines,
+                      "engine replicas for the pipelined serving path "
+                      "(0 = serial single-engine)");
+    flags.addUnsigned("pipeline-depth", opt.pipelineDepth,
+                      "prepared batches in flight (1 = serial rhythm)");
+    flags.addUnsigned("prepare-workers", opt.prepareWorkers,
+                      "modeled host prepare workers (divides the "
+                      "per-reference prepare cost)");
+    flags.addString("dispatch", opt.dispatch,
+                    "replica dispatch policy: least-loaded or "
+                    "round-robin");
+    flags.addDouble("hedge-pct", opt.hedgePct,
+                    "hedge a straggling batch onto a second engine past "
+                    "this running service-time percentile (0 = off)");
+    flags.addUnsigned("shards", opt.shards,
+                      "shard tables across this many stores behind the "
+                      "sharded serving tier (0 = single store)");
+    flags.addString("placement", opt.placement,
+                    "table -> shard placement policy: hash or range");
+    flags.addUnsigned("shard-replicas", opt.shardReplicas,
+                      "engine replicas per shard in the sharded tier");
+    flags.addString("payload", opt.payloadName,
+                    "transport payload format for tree links and DRAM "
+                    "reads: fp32, int8, or twobit");
+    flags.addString("payload-accuracy", opt.payloadAccuracy,
+                    "write the quantization accuracy report (max/mean "
+                    "abs error and relative L2 vs. the exact fp32 path) "
+                    "to this path");
     telemetry::TelemetrySession session("fafnir_sim");
     session.registerFlags(flags);
     flags.parse(argc, argv);
     session.start();
 
-    if (!embedding::parsePayloadFormat(session.serving().payload,
-                                       opt.payload)) {
+    if (!embedding::parsePayloadFormat(opt.payloadName, opt.payload)) {
         std::fprintf(stderr,
                      "error: unknown --payload '%s' (expected fp32, int8, "
                      "or twobit)\nrun with --help for usage\n",
-                     session.serving().payload.c_str());
+                     opt.payloadName.c_str());
         return 2;
     }
 
@@ -1064,11 +1110,11 @@ main(int argc, char **argv)
     if (opt.mode == "lookup") {
         // With a fault plan installed, serving runs behind the guard so
         // injected faults surface as recovery actions, not bad numbers.
-        if (session.faultPlan() != nullptr)
+        if (instruments().faults != nullptr)
             return runGuardedLookup(opt, session);
-        if (session.serving().sharded())
+        if (opt.shards > 0)
             return runShardedLookup(opt, session);
-        if (session.serving().enabled())
+        if (opt.serveEngines > 0)
             return runPipelinedLookup(opt, session);
         return runLookup(opt, session);
     }
