@@ -216,17 +216,16 @@ FafnirEngine::runPrepared(const PreparedBatch &prepared, Tick start,
     const std::size_t num_queries = prepared.sets.numQueries();
     std::vector<std::pair<Tick, QueryId>> finish_order;
     finish_order.reserve(num_queries);
-    const auto &root_out = run.rootOutputs;
     const auto &root_times = out_times[TreeTopology::rootPe()];
-    FAFNIR_ASSERT(root_times.size() == root_out.size(),
+    FAFNIR_ASSERT(root_times.size() == run.rootOutputs.size(),
                   "root trace size mismatch");
     for (QueryId q = 0; q < num_queries; ++q) {
+        const auto outputs = run.rootOutputsOf(q);
         Tick tq = start;
-        for (std::size_t k = 0; k < root_out.size(); ++k)
-            if (root_out[k].item.hasQuery(q))
-                tq = std::max(tq, root_times[k]);
+        for (const std::uint32_t k : outputs)
+            tq = std::max(tq, root_times[k]);
         // Residual disjoint partials are summed at the root output stage.
-        tq += (run.rootItemsPerQuery[q] - 1) *
+        tq += (outputs.size() - 1) *
               config_.latency.reduceValue * pePeriod_;
         finish_order.emplace_back(tq, q);
     }

@@ -6,9 +6,8 @@
 #include "event_engine.hh"
 
 #include <algorithm>
-#include <array>
+#include <numeric>
 #include <ostream>
-#include <functional>
 
 #include "common/faultinject.hh"
 #include "common/logging.hh"
@@ -22,27 +21,7 @@ namespace fafnir::core
 namespace
 {
 
-/** Live pipeline state of one PE during a run. */
-struct PeRun
-{
-    /** Arrival tick per input entry, per side; MaxTick = not arrived. */
-    std::array<std::vector<Tick>, 2> arrival;
-    std::array<std::size_t, 2> arrived{0, 0};
-    std::array<std::size_t, 2> expected{0, 0};
-    /** Outputs remaining to consume each input (FIFO occupancy). */
-    std::array<std::vector<unsigned>, 2> remainingUses;
-    std::array<std::size_t, 2> occupancy{0, 0};
-    /** Per-output emitted flag. */
-    std::vector<bool> emitted;
-    std::vector<bool> countedForwardWait;
-    /** Emission tick per output (attribution back-walk). */
-    std::vector<Tick> emitTick;
-    std::size_t emittedCount = 0;
-    /** Output-port availability (one emission per issue interval). */
-    Tick pipeFree = 0;
-};
-
-/** One leaf input's originating DRAM read, per (pe, side, position). */
+/** One leaf input's originating DRAM read. */
 struct LeafRead
 {
     unsigned rank = 0;
@@ -55,7 +34,329 @@ struct LeafRead
  *  open-loop queue/serve/guard rows). */
 constexpr int kServiceDeliveryTid = 3;
 
+/** Empty wait list. */
+constexpr std::uint32_t kNoOutput = ~std::uint32_t(0);
+
 } // namespace
+
+/**
+ * Live pipeline state of one lookup, in flat arrays over the whole tree:
+ * PE p's side-s inputs are the flat ids pes[p].inBase[s] + i and its
+ * outputs pes[p].outBase + k. A handful of allocations per batch,
+ * whatever the tree size.
+ */
+struct EventDrivenEngine::Pipeline
+{
+    struct Pe
+    {
+        std::uint32_t inBase[2] = {0, 0};
+        std::uint32_t expected[2] = {0, 0};
+        std::uint32_t arrived[2] = {0, 0};
+        /** Arrived inputs not yet consumed by every output (FIFO). */
+        std::uint32_t occupancy[2] = {0, 0};
+        std::uint32_t outBase = 0;
+        std::uint32_t emitted = 0;
+        /** Forwards (local output index) whose provenance has arrived
+         *  but which wait for side s to complete, linked via nextWait. */
+        std::uint32_t waitHead[2] = {kNoOutput, kNoOutput};
+        /** Output-port availability (one emission per issue interval). */
+        Tick pipeFree = 0;
+        /** Emission latency of a reduce [0] / forward [1]. */
+        Tick pathTicks[2] = {0, 0};
+    };
+
+    /** Build the ready counters of @p run's trace. */
+    Pipeline(EventDrivenEngine &engine, const TreeRun &run,
+             EventLookupTiming &timing, Tick start, unsigned vector_bytes);
+    // Scheduled deliveries hold its address.
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
+
+    /** Input @p input of PE @p pe arrives now. */
+    void deliver(std::uint32_t pe, std::uint32_t input);
+    /** Emit local output @p k of PE @p pe. */
+    void emit(std::uint32_t pe, std::uint32_t k);
+    /** Queue output @p k of @p pe, or park it on a side it waits for. */
+    void admit(Pe &pe, std::uint32_t k, bool first_wait);
+    void occupancyChanged(std::uint32_t pe, int delta, Tick at);
+
+    EventDrivenEngine &engine;
+    const TreeRun &run;
+    EventLookupTiming &timing;
+    const Tick start;
+    const unsigned vectorBytes;
+    telemetry::TraceSink *const ts = instruments().trace;
+    fault::FaultPlan *const faults = instruments().faults;
+
+    std::vector<Pe> pes;
+    /** Per flat input: arrival tick (MaxTick = not yet), outputs still
+     *  to consume it, and its consumers (CSR into consumers). */
+    std::vector<Tick> arrival;
+    std::vector<std::uint32_t> uses;
+    std::vector<std::uint32_t> consumerStart;
+    std::vector<std::uint32_t> consumers;
+    /** Originating read of each leaf input. Leaf PEs have the largest
+     *  ids, so their inputs are the flat ids from leafBase on. */
+    std::uint32_t leafBase = 0;
+    std::vector<LeafRead> leafRead;
+    /** Per flat output: provenance entries still missing, emission tick
+     *  (MaxTick = not yet), the sides a forward needs complete (bit s),
+     *  and the wait-list link. */
+    std::vector<std::uint32_t> missing;
+    std::vector<Tick> emitTick;
+    std::vector<std::uint8_t> needSides;
+    std::vector<std::uint32_t> nextWait;
+    /** Outputs one delivery unblocked (local indices). */
+    std::vector<std::uint32_t> unblocked;
+    /** Items buffered per tree level (trace counter tracks). */
+    std::vector<std::int64_t> levelOccupancy;
+};
+
+EventDrivenEngine::Pipeline::Pipeline(EventDrivenEngine &engine,
+                                      const TreeRun &run,
+                                      EventLookupTiming &timing, Tick start,
+                                      unsigned vector_bytes)
+    : engine(engine), run(run), timing(timing), start(start),
+      vectorBytes(vector_bytes)
+{
+    const TreeTopology &topology = engine.topology_;
+    const EngineConfig &base = engine.config_.base;
+    const unsigned num_pes = topology.numPes();
+    pes.resize(num_pes + 1);
+    std::uint32_t num_inputs = 0;
+    std::uint32_t num_outputs = 0;
+    for (unsigned p = 1; p <= num_pes; ++p) {
+        Pe &pe = pes[p];
+        const PeTrace &trace = run.trace[p];
+        for (int side = 0; side < 2; ++side) {
+            pe.inBase[side] = num_inputs;
+            pe.expected[side] =
+                static_cast<std::uint32_t>(trace.inputs[side]);
+            num_inputs += pe.expected[side];
+        }
+        pe.outBase = num_outputs;
+        num_outputs += static_cast<std::uint32_t>(trace.outputs.size());
+        pe.pipeFree = start;
+        // Outputs leaving a DIMM/rank node cross an inter-chip link.
+        Cycles link = 0;
+        if (topology.numLevels() > base.channelNodeLevels &&
+            topology.heightOf(p) ==
+                topology.numLevels() - 1 - base.channelNodeLevels) {
+            link = base.interNodeLinkCycles;
+        }
+        pe.pathTicks[0] =
+            (base.latency.reducePath() + base.latency.merge + link) *
+            engine.pePeriod_;
+        pe.pathTicks[1] =
+            (base.latency.forwardPath() + base.latency.merge + link) *
+            engine.pePeriod_;
+    }
+
+    arrival.assign(num_inputs, MaxTick);
+    consumerStart.assign(num_inputs + 1, 0);
+    leafBase = pes[topology.numLeafPes()].inBase[0];
+    leafRead.resize(num_inputs - leafBase);
+    missing.resize(num_outputs);
+    emitTick.assign(num_outputs, MaxTick);
+    needSides.assign(num_outputs, 0);
+    nextWait.resize(num_outputs);
+    levelOccupancy.assign(topology.numLevels(), 0);
+
+    // Consumer lists: count per input, prefix-sum to list ends, then
+    // fill back to front so every list stays in ascending output order.
+    for (unsigned p = 1; p <= num_pes; ++p) {
+        const Pe &pe = pes[p];
+        const auto &outputs = run.trace[p].outputs;
+        for (std::uint32_t k = 0; k < outputs.size(); ++k) {
+            const PeTraceOutput &out = outputs[k];
+            FAFNIR_ASSERT(!out.sources.empty(), "output without sources");
+            missing[pe.outBase + k] =
+                static_cast<std::uint32_t>(out.sources.size());
+            for (const Provenance &src : out.sources) {
+                ++consumerStart[pe.inBase[src.side] + src.index];
+                // A forward is only certain once the opposite side of
+                // each of its sources is complete.
+                if (out.action == PeAction::Forward)
+                    needSides[pe.outBase + k] |= 1u << (1 - src.side);
+            }
+        }
+    }
+    uses.assign(consumerStart.begin(), consumerStart.end() - 1);
+    std::partial_sum(consumerStart.begin(), consumerStart.end(),
+                     consumerStart.begin());
+    consumers.resize(consumerStart.back());
+    for (unsigned p = num_pes; p >= 1; --p) {
+        const Pe &pe = pes[p];
+        const auto &outputs = run.trace[p].outputs;
+        for (auto k = static_cast<std::uint32_t>(outputs.size()); k-- > 0;)
+            for (const Provenance &src : outputs[k].sources)
+                consumers[--consumerStart[pe.inBase[src.side] +
+                                          src.index]] = k;
+    }
+}
+
+void
+EventDrivenEngine::Pipeline::occupancyChanged(std::uint32_t pe, int delta,
+                                              Tick at)
+{
+    if (!ts)
+        return;
+    const unsigned height = engine.topology_.heightOf(pe);
+    levelOccupancy[height] += delta;
+    ts->counterEvent(telemetry::kPidTree,
+                     "tree.occupancy.h" + std::to_string(height), at,
+                     static_cast<double>(levelOccupancy[height]));
+}
+
+void
+EventDrivenEngine::Pipeline::admit(Pe &pe, std::uint32_t k,
+                                   bool first_wait)
+{
+    const std::uint8_t need = needSides[pe.outBase + k];
+    for (unsigned side = 0; side < 2; ++side) {
+        if ((need >> side & 1u) != 0 &&
+            pe.arrived[side] < pe.expected[side]) {
+            nextWait[pe.outBase + k] = pe.waitHead[side];
+            pe.waitHead[side] = k;
+            if (first_wait)
+                ++timing.forwardWaits;
+            return;
+        }
+    }
+    unblocked.push_back(k);
+}
+
+void
+EventDrivenEngine::Pipeline::deliver(std::uint32_t p, std::uint32_t input)
+{
+    Pe &pe = pes[p];
+    const unsigned side = input >= pe.inBase[1] ? 1 : 0;
+    const std::uint32_t index = input - pe.inBase[side];
+    const EventEngineConfig &config = engine.config_;
+    EventQueue &eq = engine.memory_.eventq();
+    Tick at = eq.now();
+    ++pe.occupancy[side];
+    ++engine.peStats_[p].deliveries;
+    occupancyChanged(p, 1, at);
+    if (pe.occupancy[side] > config.base.hwBatch) {
+        ++timing.fifoOverflows;
+        at += config.overflowPenalty * engine.pePeriod_;
+    }
+    // Injected backpressure (pe_backpressure hook): the arrival stalls
+    // as if the FIFO had no free slot, mirroring the organic overflow
+    // penalty above. Timing-only — values are untouched.
+    if (faults != nullptr) {
+        if (const Cycles extra = faults->peBackpressureCycles();
+            extra != 0) {
+            ++timing.injectedBackpressure;
+            at += extra * engine.pePeriod_;
+            if (ts) {
+                ts->instantEvent(telemetry::kPidTree, static_cast<int>(p),
+                                 "fault", "pe_backpressure", at,
+                                 {{"cycles", static_cast<double>(extra)}});
+            }
+        }
+    }
+    FAFNIR_ASSERT(arrival[input] == MaxTick, "duplicate delivery");
+    arrival[input] = at;
+    ++pe.arrived[side];
+    if (config.recordTimeline) {
+        timing.timeline.push_back(
+            {at, p, "deliver", side * pe.expected[0] + index});
+    }
+
+    // Outputs this arrival completes, then forwards released by the
+    // side completing; emitted in ascending output index. Emitting never
+    // changes another output's readiness, so one pass suffices.
+    unblocked.clear();
+    for (std::uint32_t c = consumerStart[input];
+         c < consumerStart[input + 1]; ++c) {
+        const std::uint32_t k = consumers[c];
+        if (--missing[pe.outBase + k] == 0)
+            admit(pe, k, /*first_wait=*/true);
+    }
+    if (pe.arrived[side] == pe.expected[side]) {
+        std::uint32_t k = pe.waitHead[side];
+        pe.waitHead[side] = kNoOutput;
+        while (k != kNoOutput) {
+            const std::uint32_t next = nextWait[pe.outBase + k];
+            admit(pe, k, /*first_wait=*/false);
+            k = next;
+        }
+    }
+    std::sort(unblocked.begin(), unblocked.end());
+    for (const std::uint32_t k : unblocked)
+        emit(p, k);
+}
+
+void
+EventDrivenEngine::Pipeline::emit(std::uint32_t p, std::uint32_t k)
+{
+    Pe &pe = pes[p];
+    const PeTraceOutput &out = run.trace[p].outputs[k];
+    const EventEngineConfig &config = engine.config_;
+    EventQueue &eq = engine.memory_.eventq();
+    const Tick period = engine.pePeriod_;
+    const bool is_reduce = out.action == PeAction::Reduce;
+
+    // All provenance has arrived; the latest arrival gates the output.
+    Tick t = start;
+    for (const Provenance &src : out.sources)
+        t = std::max(t, arrival[pe.inBase[src.side] + src.index]);
+    const Tick rem = t % period;
+    if (rem != 0)
+        t += period - rem;
+    t += pe.pathTicks[is_reduce ? 0 : 1];
+    t = std::max(t, pe.pipeFree);
+    // The emit decision is made now (e.g., a forward that was waiting
+    // for the opposite side to complete).
+    t = std::max(t, eq.now());
+    const Tick issue_ticks = config.base.latency.issue * period;
+    pe.pipeFree = t + issue_ticks;
+
+    // Consume inputs; free FIFO slots at last use.
+    for (const Provenance &src : out.sources) {
+        std::uint32_t &left = uses[pe.inBase[src.side] + src.index];
+        FAFNIR_ASSERT(left > 0, "provenance double-free");
+        if (--left == 0) {
+            --pe.occupancy[src.side];
+            occupancyChanged(p, -1, t);
+        }
+    }
+
+    emitTick[pe.outBase + k] = t;
+    ++pe.emitted;
+    timing.linkPayloadBytes += vectorBytes;
+    PeTelemetry &activity = engine.peStats_[p];
+    ++activity.outputs;
+    if (is_reduce)
+        ++activity.reduces;
+    else
+        ++activity.forwards;
+    activity.busyTicks += issue_ticks;
+    if (ts) {
+        // Tagged with the item's originating query ids and the causal
+        // flow of the arrival that unblocked it.
+        const auto &qids = out.queries;
+        ts->completeEvent(
+            telemetry::kPidTree, static_cast<int>(p), "pe",
+            is_reduce ? "reduce" : "forward", t, issue_ticks,
+            {{"queries", static_cast<double>(qids.size())},
+             {"q0", qids.empty() ? -1.0 : static_cast<double>(qids[0])},
+             {"flow", static_cast<double>(eq.currentFlow())}});
+    }
+    if (config.recordTimeline)
+        timing.timeline.push_back({t, p, "emit", k});
+
+    if (p != TreeTopology::rootPe()) {
+        // Children's outputs land in the parent's input list in trace
+        // order.
+        const std::uint32_t parent = engine.topology_.parent(p);
+        const unsigned side = p % 2 == 0 ? 0 : 1;
+        const std::uint32_t input = pes[parent].inBase[side] + k;
+        eq.scheduleFn(t, [this, parent, input] { deliver(parent, input); });
+    }
+}
 
 EventDrivenEngine::EventDrivenEngine(dram::MemorySystem &memory,
                                      const embedding::VectorLayout &layout,
@@ -154,29 +455,11 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     if (run.maxPeOutputs > config_.base.hwBatch)
         ++timing.bufferOverflows;
 
-    // --- Set up per-PE pipeline state from the functional trace. --------
-    std::vector<PeRun> pes(num_pes + 1);
-    for (unsigned pe = 1; pe <= num_pes; ++pe) {
-        PeRun &state = pes[pe];
-        const PeTrace &trace = run.trace[pe];
-        state.expected = {trace.inputs[0], trace.inputs[1]};
-        for (int side = 0; side < 2; ++side) {
-            state.arrival[side].assign(state.expected[side], MaxTick);
-            state.remainingUses[side].assign(state.expected[side], 0);
-        }
-        for (const auto &out : trace.outputs)
-            for (const Provenance &src : out.sources)
-                ++state.remainingUses[src.side][src.index];
-        state.emitted.assign(trace.outputs.size(), false);
-        state.countedForwardWait.assign(trace.outputs.size(), false);
-        state.emitTick.assign(trace.outputs.size(), MaxTick);
-        state.pipeFree = start;
-    }
-
-    std::vector<Tick> root_times(run.rootOutputs.size(), MaxTick);
+    // --- Ready counters over the functional trace. ----------------------
+    Pipeline pipe(*this, run, timing, start, vector_bytes);
 
     // --- Timeline tracing (no-ops when no sink is installed). -----------
-    telemetry::TraceSink *ts = instruments().trace;
+    telemetry::TraceSink *ts = pipe.ts;
     telemetry::Attribution *attr = instruments().attribution;
     const std::uint64_t batch_ordinal = attr ? attr->beginBatch() : 0;
     if (ts) {
@@ -187,240 +470,33 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                     std::to_string(topology_.heightOf(pe)) + ")");
         }
     }
-    // Items buffered per tree level, emitted as one counter track each.
-    std::vector<std::int64_t> level_occupancy(topology_.numLevels(), 0);
-    auto occupancy_changed = [&](unsigned pe, int delta, Tick at) {
-        if (!ts)
-            return;
-        const unsigned height = topology_.heightOf(pe);
-        level_occupancy[height] += delta;
-        ts->counterEvent(
-            telemetry::kPidTree,
-            "tree.occupancy.h" + std::to_string(height), at,
-            static_cast<double>(level_occupancy[height]));
-    };
-
-    // --- Pipeline dynamics. ---------------------------------------------
-    auto align = [this](Tick t) {
-        const Tick rem = t % pePeriod_;
-        return rem == 0 ? t : t + (pePeriod_ - rem);
-    };
-
-    // Inter-chip link hop for outputs leaving a DIMM/rank node.
-    auto link_cycles = [&](unsigned pe) -> Cycles {
-        if (topology_.numLevels() > config_.base.channelNodeLevels &&
-            topology_.heightOf(pe) ==
-                topology_.numLevels() - 1 -
-                    config_.base.channelNodeLevels) {
-            return config_.base.interNodeLinkCycles;
-        }
-        return 0;
-    };
-
-    // Forward-declared so emissions can deliver upward recursively.
-    std::function<void(unsigned, unsigned, std::size_t, Tick)> deliver;
-
-    auto try_emit = [&](unsigned pe) {
-        PeRun &state = pes[pe];
-        const PeTrace &trace = run.trace[pe];
-        bool progressed = true;
-        while (progressed && state.emittedCount < trace.outputs.size()) {
-            progressed = false;
-            for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
-                if (state.emitted[k])
-                    continue;
-                const PeTraceOutput &out = trace.outputs[k];
-
-                // All provenance must have arrived.
-                Tick ready = start;
-                bool arrived = true;
-                for (const Provenance &src : out.sources) {
-                    const Tick t = state.arrival[src.side][src.index];
-                    if (t == MaxTick) {
-                        arrived = false;
-                        break;
-                    }
-                    ready = std::max(ready, t);
-                }
-                if (!arrived)
-                    continue;
-
-                // A forward additionally needs the opposite side
-                // complete — only then is "no match" certain.
-                if (out.action == PeAction::Forward) {
-                    bool blocked = false;
-                    for (const Provenance &src : out.sources) {
-                        const unsigned other = 1 - src.side;
-                        if (state.arrived[other] <
-                            state.expected[other]) {
-                            blocked = true;
-                            break;
-                        }
-                    }
-                    if (blocked) {
-                        if (!state.countedForwardWait[k]) {
-                            state.countedForwardWait[k] = true;
-                            ++timing.forwardWaits;
-                        }
-                        continue;
-                    }
-                }
-
-                const Cycles path =
-                    (out.action == PeAction::Reduce
-                         ? config_.base.latency.reducePath()
-                         : config_.base.latency.forwardPath()) +
-                    config_.base.latency.merge + link_cycles(pe);
-                Tick emit = align(ready) + path * pePeriod_;
-                emit = std::max(emit, state.pipeFree);
-                // The emit decision is made now (e.g., a forward that was
-                // waiting for the opposite side to complete).
-                emit = std::max(emit, eq.now());
-                state.pipeFree =
-                    emit + config_.base.latency.issue * pePeriod_;
-
-                // Consume inputs; free FIFO slots at last use.
-                for (const Provenance &src : out.sources) {
-                    unsigned &uses =
-                        state.remainingUses[src.side][src.index];
-                    FAFNIR_ASSERT(uses > 0, "provenance double-free");
-                    if (--uses == 0) {
-                        --state.occupancy[src.side];
-                        occupancy_changed(pe, -1, emit);
-                    }
-                }
-
-                state.emitted[k] = true;
-                state.emitTick[k] = emit;
-                ++state.emittedCount;
-                timing.linkPayloadBytes += vector_bytes;
-                progressed = true;
-                PeTelemetry &activity = peStats_[pe];
-                ++activity.outputs;
-                const bool is_reduce = out.action == PeAction::Reduce;
-                if (is_reduce)
-                    ++activity.reduces;
-                else
-                    ++activity.forwards;
-                const Tick issue_ticks =
-                    config_.base.latency.issue * pePeriod_;
-                activity.busyTicks += issue_ticks;
-                if (ts) {
-                    // Tagged with the item's originating query ids and
-                    // the causal flow of the arrival that unblocked it.
-                    const auto &qids = out.queries;
-                    ts->completeEvent(
-                        telemetry::kPidTree, static_cast<int>(pe), "pe",
-                        is_reduce ? "reduce" : "forward", emit,
-                        issue_ticks,
-                        {{"queries",
-                          static_cast<double>(qids.size())},
-                         {"q0", qids.empty()
-                                    ? -1.0
-                                    : static_cast<double>(qids[0])},
-                         {"flow",
-                          static_cast<double>(eq.currentFlow())}});
-                }
-                if (config_.recordTimeline)
-                    timing.timeline.push_back({emit, pe, "emit", k});
-
-                if (pe == TreeTopology::rootPe()) {
-                    root_times[k] = emit;
-                } else {
-                    const unsigned parent = topology_.parent(pe);
-                    const unsigned side = pe % 2 == 0 ? 0 : 1;
-                    // Position within the parent's input list: children
-                    // outputs land in trace order.
-                    eq.scheduleFn(emit, [&deliver, parent, side, k] {
-                        deliver(parent, side, k, 0);
-                    });
-                }
-            }
-        }
-    };
-
-    deliver = [&](unsigned pe, unsigned side, std::size_t index,
-                  Tick /*unused*/) {
-        PeRun &state = pes[pe];
-        FAFNIR_ASSERT(index < state.expected[side],
-                      "delivery beyond expected inputs");
-        Tick at = eq.now();
-        ++state.occupancy[side];
-        ++peStats_[pe].deliveries;
-        occupancy_changed(pe, 1, at);
-        if (state.occupancy[side] > config_.base.hwBatch) {
-            ++timing.fifoOverflows;
-            at += config_.overflowPenalty * pePeriod_;
-        }
-        // Injected backpressure (pe_backpressure hook): the arrival
-        // stalls as if the FIFO had no free slot, mirroring the organic
-        // overflow penalty above. Timing-only — values are untouched.
-        if (fault::FaultPlan *p = instruments().faults; p != nullptr) {
-            if (const Cycles extra = p->peBackpressureCycles();
-                extra != 0) {
-                ++timing.injectedBackpressure;
-                at += extra * pePeriod_;
-                if (ts) {
-                    ts->instantEvent(telemetry::kPidTree,
-                                     static_cast<int>(pe), "fault",
-                                     "pe_backpressure", at,
-                                     {{"cycles",
-                                       static_cast<double>(extra)}});
-                }
-            }
-        }
-        FAFNIR_ASSERT(state.arrival[side][index] == MaxTick,
-                      "duplicate delivery");
-        state.arrival[side][index] = at;
-        ++state.arrived[side];
-        if (config_.recordTimeline) {
-            timing.timeline.push_back(
-                {at, pe, "deliver",
-                 side * state.expected[0] + index});
-        }
-        try_emit(pe);
-        // An arrival here may unblock forwards waiting in the parent
-        // chain only via future emissions, which schedule events.
-    };
 
     // --- Issue the DRAM reads; completions drive the pipeline. ----------
     // Each read starts a fresh causal flow: its completion one-shot and
     // everything that one-shot schedules (the whole delivery chain up
-    // the tree) inherit the flow id through the event queue.
-    std::vector<std::array<std::vector<LeafRead>, 2>> leaf_reads(
-        num_pes + 1);
+    // the tree) inherit the flow id through the event queue. A rank's
+    // reads follow those of earlier ranks on the same leaf input side
+    // (the functional assembly order).
+    std::vector<std::uint32_t> next_leaf_input(2 * (num_pes + 1));
+    for (unsigned pe = 1; pe <= num_pes; ++pe)
+        for (unsigned side = 0; side < 2; ++side)
+            next_leaf_input[2 * pe + side] = pipe.pes[pe].inBase[side];
     timing.memFirst = MaxTick;
     timing.memLast = start;
     for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
-        const unsigned pe = topology_.leafPeOf(rank);
-        const unsigned side = topology_.sideOf(rank);
-        // Position of this rank's reads within the leaf input side: ranks
-        // earlier in the same side contribute first (matches the
-        // functional assembly order).
-        std::size_t base = 0;
-        for (unsigned r = 0; r < rank; ++r) {
-            if (topology_.leafPeOf(r) == pe &&
-                topology_.sideOf(r) == side) {
-                base += prepared.rankReads[r].size();
-            }
-        }
-        auto &side_reads = leaf_reads[pe][side];
-        for (std::size_t i = 0; i < prepared.rankReads[rank].size();
-             ++i) {
-            const auto &read = prepared.rankReads[rank][i];
+        const std::uint32_t pe = topology_.leafPeOf(rank);
+        std::uint32_t &input =
+            next_leaf_input[2 * pe + topology_.sideOf(rank)];
+        for (const auto &read : prepared.rankReads[rank]) {
             const std::uint64_t flow = eq.beginFlow();
             const auto result = memory_.readAsync(
-                read.address, vector_bytes, start,
-                dram::Destination::Ndp,
-                [&deliver, pe, side, pos = base + i](
-                    Tick, const dram::AccessResult &) {
-                    deliver(pe, side, pos, 0);
+                read.address, vector_bytes, start, dram::Destination::Ndp,
+                [p = &pipe, pe, input](Tick, const dram::AccessResult &) {
+                    p->deliver(pe, input);
                 });
-            const std::size_t pos = base + i;
-            if (side_reads.size() <= pos)
-                side_reads.resize(pos + 1);
-            side_reads[pos] =
+            pipe.leafRead[input - pipe.leafBase] =
                 LeafRead{rank, result.firstData, result.complete, flow};
+            ++input;
             timing.memFirst = std::min(timing.memFirst, result.firstData);
             timing.memLast = std::max(timing.memLast, result.complete);
         }
@@ -432,28 +508,28 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     eq.run();
 
     for (unsigned pe = 1; pe <= num_pes; ++pe) {
-        FAFNIR_ASSERT(pes[pe].emittedCount ==
-                          run.trace[pe].outputs.size(),
-                      "PE ", pe, " stalled: ", pes[pe].emittedCount, "/",
+        FAFNIR_ASSERT(pipe.pes[pe].emitted == run.trace[pe].outputs.size(),
+                      "PE ", pe, " stalled: ", pipe.pes[pe].emitted, "/",
                       run.trace[pe].outputs.size(), " outputs emitted");
     }
 
     // --- Per-query completion and root-link serialization. --------------
+    const Tick *root_times =
+        pipe.emitTick.data() + pipe.pes[TreeTopology::rootPe()].outBase;
     const std::size_t num_queries = prepared.sets.numQueries();
     std::vector<std::pair<Tick, QueryId>> finish_order;
     finish_order.reserve(num_queries);
     std::vector<Tick> query_ready(num_queries, start);
     for (QueryId q = 0; q < num_queries; ++q) {
+        const auto outputs = run.rootOutputsOf(q);
         Tick tq = start;
-        for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-            if (run.rootOutputs[k].item.hasQuery(q)) {
-                FAFNIR_ASSERT(root_times[k] != MaxTick,
-                              "root output never emitted");
-                tq = std::max(tq, root_times[k]);
-            }
+        for (const std::uint32_t k : outputs) {
+            FAFNIR_ASSERT(root_times[k] != MaxTick,
+                          "root output never emitted");
+            tq = std::max(tq, root_times[k]);
         }
-        tq += (run.rootItemsPerQuery[q] - 1) *
-              config_.base.latency.reduceValue * pePeriod_;
+        tq += (outputs.size() - 1) * config_.base.latency.reduceValue *
+              pePeriod_;
         query_ready[q] = tq;
         finish_order.emplace_back(tq, q);
     }
@@ -487,7 +563,6 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             ts->setThreadName(telemetry::kPidService,
                               kServiceDeliveryTid, "delivery");
         }
-        const PeLatency &lat = config_.base.latency;
         struct Hop
         {
             unsigned pe;
@@ -495,50 +570,44 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         };
         std::vector<Hop> path;
         for (QueryId q = 0; q < num_queries; ++q) {
-            // Root output of q that bounds its tree time.
-            std::size_t k_last = run.rootOutputs.size();
-            Tick t_last = 0;
-            for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-                if (run.rootOutputs[k].item.hasQuery(q) &&
-                    (k_last == run.rootOutputs.size() ||
-                     root_times[k] > t_last)) {
-                    k_last = k;
-                    t_last = root_times[k];
-                }
-            }
-            if (k_last == run.rootOutputs.size())
+            // Root output of q that bounds its tree time (the first of
+            // the latest).
+            const auto outputs = run.rootOutputsOf(q);
+            if (outputs.empty())
                 continue; // nothing reached the root for this query
+            std::size_t k_last = outputs.front();
+            for (const std::uint32_t k : outputs)
+                if (root_times[k] > root_times[k_last])
+                    k_last = k;
+            const Tick t_last = root_times[k_last];
 
             // Back-walk to the leaf, following binding arrivals.
             path.clear();
             unsigned pe = TreeTopology::rootPe();
             std::size_t k = k_last;
-            unsigned leaf_side = 0;
-            std::size_t leaf_index = 0;
+            std::uint32_t leaf_input = 0;
             while (true) {
                 path.push_back({pe, k});
+                const Pipeline::Pe &state = pipe.pes[pe];
                 const PeTraceOutput &out = run.trace[pe].outputs[k];
                 const Provenance *bind = nullptr;
                 Tick best = 0;
                 for (const Provenance &src : out.sources) {
-                    const Tick t = pes[pe].arrival[src.side][src.index];
+                    const Tick t =
+                        pipe.arrival[state.inBase[src.side] + src.index];
                     if (bind == nullptr || t > best) {
                         bind = &src;
                         best = t;
                     }
                 }
-                FAFNIR_ASSERT(bind != nullptr, "output without sources");
                 if (topology_.heightOf(pe) == 0) {
-                    leaf_side = bind->side;
-                    leaf_index = bind->index;
+                    leaf_input = state.inBase[bind->side] + bind->index;
                     break;
                 }
                 pe = 2 * pe + bind->side;
                 k = bind->index;
             }
-            const unsigned leaf_pe = path.back().pe;
-            const LeafRead &lr =
-                leaf_reads[leaf_pe][leaf_side][leaf_index];
+            const LeafRead &lr = pipe.leafRead[leaf_input - pipe.leafBase];
 
             // Memory interval: isolated service vs. contention.
             const Tick mem_interval = lr.complete - start;
@@ -551,14 +620,12 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             Tick forward_wait = 0;
             Tick prev = lr.complete;
             for (auto it = path.rbegin(); it != path.rend(); ++it) {
+                const Pipeline::Pe &state = pipe.pes[it->pe];
                 const PeTraceOutput &out =
                     run.trace[it->pe].outputs[it->out];
-                const Cycles cycles =
-                    (out.action == PeAction::Reduce ? lat.reducePath()
-                                                    : lat.forwardPath()) +
-                    lat.merge + link_cycles(it->pe);
-                const Tick compute = cycles * pePeriod_;
-                const Tick emit = pes[it->pe].emitTick[it->out];
+                const Tick compute = state.pathTicks[
+                    out.action == PeAction::Reduce ? 0 : 1];
+                const Tick emit = pipe.emitTick[state.outBase + it->out];
                 pe_compute += compute;
                 forward_wait += emit - prev - compute;
                 prev = emit;
@@ -591,9 +658,10 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
                               static_cast<int>(lr.rank), "attrib.flow",
                               label, lr.firstData);
                 for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                    ts->flowStep(fid, telemetry::kPidTree,
-                                 static_cast<int>(it->pe), "attrib.flow",
-                                 label, pes[it->pe].emitTick[it->out]);
+                    ts->flowStep(
+                        fid, telemetry::kPidTree, static_cast<int>(it->pe),
+                        "attrib.flow", label,
+                        pipe.emitTick[pipe.pes[it->pe].outBase + it->out]);
                 }
                 ts->completeEvent(
                     telemetry::kPidService, kServiceDeliveryTid,
@@ -619,7 +687,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             attr->recordMeeting(topology_.numLevels() - 1,
                                 run.rootCombines);
         }
-        // Per-PE meeting summary (bounded per batch, off the try_emit
+        // Per-PE meeting summary (bounded per batch, off the delivery
         // hot path): code = PE id; a = tree height, b = reduce count.
         if (auto *rec = instruments().recorder) {
             for (unsigned p = 1; p <= num_pes; ++p) {
@@ -638,10 +706,12 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         timing.results = std::move(run.results);
 
     if (config_.recordTimeline) {
-        std::sort(timing.timeline.begin(), timing.timeline.end(),
-                  [](const TimelineEvent &a, const TimelineEvent &b) {
-                      return a.tick < b.tick;
-                  });
+        // Stable: same-tick events keep their record order.
+        std::stable_sort(timing.timeline.begin(), timing.timeline.end(),
+                         [](const TimelineEvent &a,
+                            const TimelineEvent &b) {
+                             return a.tick < b.tick;
+                         });
     }
     return timing;
 }

@@ -16,6 +16,12 @@
  *    spill/double-buffer pressure of oversubscribed batches without
  *    deadlocking the pipeline.
  *
+ * Each PE keeps ready counters over its functional trace: per output,
+ * the number of provenance entries still missing; per input, the
+ * outputs that consume it (CSR). A delivery decrements only its
+ * consumers, and the outputs it unblocks are emitted in ascending output
+ * index, so the work per batch is linear in deliveries plus outputs.
+ *
  * This realizes the paper's "simultaneously activates distinct routes of
  * the tree from arbitrary leaves to the root": queries whose operands
  * arrive early reach the root before stragglers of other queries, which
@@ -132,6 +138,9 @@ class EventDrivenEngine
     void registerStats(StatGroup &group) const;
 
   private:
+    /** Live pipeline state of one lookup (event_engine.cc). */
+    struct Pipeline;
+
     dram::MemorySystem &memory_;
     const embedding::VectorLayout &layout_;
     EventEngineConfig config_;

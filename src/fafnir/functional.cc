@@ -6,6 +6,7 @@
 #include "functional.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "embedding/reduce_kernels.hh"
@@ -90,18 +91,32 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
             break; // unsigned loop guard
     }
 
-    // Root output stage: per query, sum its (disjoint) partial items.
+    // Query->root-output index: count per query, prefix-sum to list
+    // ends, then fill back to front so every list stays ascending.
     IndexSetTable &sets = run.sets;
     const std::size_t num_queries = sets.numQueries();
+    run.rootQueryStart.assign(num_queries + 1, 0);
+    for (const auto &out : run.rootOutputs)
+        for (QueryId q : out.item.queries)
+            ++run.rootQueryStart[q];
+    std::partial_sum(run.rootQueryStart.begin(), run.rootQueryStart.end(),
+                     run.rootQueryStart.begin());
+    run.rootQueryOutputs.resize(run.rootQueryStart.back());
+    for (auto k = static_cast<std::uint32_t>(run.rootOutputs.size());
+         k-- > 0;) {
+        for (QueryId q : run.rootOutputs[k].item.queries)
+            run.rootQueryOutputs[--run.rootQueryStart[q]] = k;
+    }
+
+    // Root output stage: per query, sum its (disjoint) partial items in
+    // ascending output order.
     run.results.resize(num_queries);
-    run.rootItemsPerQuery.assign(num_queries, 0);
     for (QueryId q = 0; q < num_queries; ++q) {
         SetId covered = IndexSetTable::kEmptySet;
         embedding::Vector acc;
-        for (const auto &out : run.rootOutputs) {
-            if (!out.item.hasQuery(q))
-                continue;
-            ++run.rootItemsPerQuery[q];
+        const auto root_items = run.rootOutputsOf(q);
+        for (const std::uint32_t k : root_items) {
+            const PeOutput &out = run.rootOutputs[k];
             const SetId grown = sets.unite(covered, out.item.indices);
             FAFNIR_ASSERT(sets.size(grown) ==
                               sets.size(covered) +
@@ -120,9 +135,9 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
                 }
             }
         }
-        FAFNIR_ASSERT(run.rootItemsPerQuery[q] >= 1,
+        FAFNIR_ASSERT(!root_items.empty(),
                       "query ", q, " produced no root items");
-        run.rootCombines += run.rootItemsPerQuery[q] - 1;
+        run.rootCombines += root_items.size() - 1;
         const auto got = sets.slots(covered);
         const auto want = sets.slots(sets.querySet(q));
         FAFNIR_ASSERT(std::equal(got.begin(), got.end(), want.begin(),

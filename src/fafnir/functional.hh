@@ -19,6 +19,8 @@
 #ifndef FAFNIR_FAFNIR_FUNCTIONAL_HH
 #define FAFNIR_FAFNIR_FUNCTIONAL_HH
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "embedding/table.hh"
@@ -65,14 +67,27 @@ struct TreeRun
     PeActivity total;
     /** Extra per-query summations applied at the root output stage. */
     std::size_t rootCombines = 0;
-    /** Number of root items feeding each query (>= 1). */
-    std::vector<std::size_t> rootItemsPerQuery;
+    /**
+     * Query->root-output index (CSR): the root outputs serving query q
+     * are rootQueryOutputs[rootQueryStart[q] .. rootQueryStart[q + 1]),
+     * in ascending output order.
+     */
+    std::vector<std::uint32_t> rootQueryStart;
+    std::vector<std::uint32_t> rootQueryOutputs;
     /** Largest post-merge output list of any PE (buffer occupancy). */
     std::size_t maxPeOutputs = 0;
     /** Value-buffer recycling counters for the evaluation's pool. */
     VectorPool::Stats poolStats;
     /** Per-PE traces, indexed by heap id; kept only when requested. */
     std::vector<PeTrace> trace;
+
+    /** Root outputs feeding query @p q (>= 1), ascending. */
+    std::span<const std::uint32_t>
+    rootOutputsOf(QueryId q) const
+    {
+        return {rootQueryOutputs.data() + rootQueryStart[q],
+                rootQueryStart[q + 1] - rootQueryStart[q]};
+    }
 };
 
 /** Evaluates batches on a fixed topology. */

@@ -2,14 +2,17 @@
  * @file
  * Event-driven engine tests: agreement with the analytic engine's
  * functional quantities, pipeline-semantics properties (early queries
- * finish early, no stalls/deadlocks), determinism, and cross-engine
- * latency relationships.
+ * finish early, no stalls/deadlocks, merged forwards wait for both
+ * sides, injected backpressure only delays), determinism, and
+ * cross-engine latency relationships. Tick-exact agreement with the
+ * reference engine lives in test_event_oracle.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "common/faultinject.hh"
 #include "embedding/generator.hh"
 #include "fafnir/engine.hh"
 #include "fafnir/event_engine.hh"
@@ -223,4 +226,117 @@ TEST(EventEngine, SequentialBatchesAdvanceTime)
         EXPECT_GT(timing.complete, t);
         t = timing.complete;
     }
+}
+
+TEST(EventEngine, MergedForwardWaitsForBothSides)
+{
+    // One PE over two ranks. Queries 0 and 1 both want vector X, which
+    // enters on side A (for query 0) and on side B (for query 1), so the
+    // merge unit folds the two forwards of X into one output with
+    // sources on both sides. Queries 2 and 3 want Y and Z, later second
+    // reads on side A and side B. The merged forward may only leave
+    // once both sides are complete: it waits on A, then on B, and
+    // counts as one wait.
+    EventRig rig(2);
+    EventEngineConfig cfg;
+    cfg.recordTimeline = true;
+    EventDrivenEngine engine(rig.memory, rig.layout, cfg);
+    ASSERT_EQ(engine.topology().numPes(), 1u);
+
+    constexpr IndexId x = 3;
+    constexpr IndexId y = 7;
+    constexpr IndexId z = 9;
+    PreparedBatch prepared;
+    prepared.sets = IndexSetTable({x, y, z});
+    auto set_of = [&](IndexId index) {
+        return IndexSetTable::single(prepared.sets.slotOf(index));
+    };
+    for (IndexId index : {x, x, y, z})
+        prepared.sets.addQuery(set_of(index));
+    prepared.rankReads.resize(2);
+    // Each side's reads go to its own rank, second read to another row
+    // of the same bank: both X reads land first, then Y and Z pay a row
+    // conflict each.
+    auto add_read = [&](unsigned rank, IndexId index, QueryId query,
+                        std::uint64_t row) {
+        RankRead read;
+        read.index = index;
+        read.address = rig.memory.mapper().encode(
+            dram::Coordinates{.rank = rank, .row = row});
+        read.item.indices = set_of(index);
+        read.item.queries.push_back(query);
+        prepared.rankReads[rank].push_back(std::move(read));
+        ++prepared.accessCount;
+    };
+    add_read(0, x, 0, 0); // A0
+    add_read(0, y, 2, 1); // A1
+    add_read(1, x, 1, 0); // B0
+    add_read(1, z, 3, 1); // B1
+    prepared.uniqueCount = 3;
+    prepared.totalReferences = 4;
+
+    // Precondition: output 0 is the merged forward of X from A0 and B0.
+    const TreeRun run = FunctionalTree(engine.topology())
+                            .run(prepared, false, /*keep_trace=*/true);
+    const auto &outputs = run.trace[1].outputs;
+    ASSERT_EQ(outputs.size(), 3u);
+    ASSERT_EQ(outputs[0].action, PeAction::Forward);
+    ASSERT_EQ(outputs[0].sources.size(), 2u);
+    EXPECT_EQ(outputs[0].sources[0], (Provenance{0, 0}));
+    EXPECT_EQ(outputs[0].sources[1], (Provenance{1, 0}));
+
+    const EventLookupTiming t = engine.lookupPrepared(prepared, 0);
+    // Delivery index = side * |A| + position; emission index = output.
+    Tick a0 = 0, a1 = 0, b0 = 0, b1 = 0;
+    Tick emit[3] = {MaxTick, MaxTick, MaxTick};
+    for (const TimelineEvent &event : t.timeline) {
+        if (std::string(event.kind) == "emit") {
+            emit[event.index] = event.tick;
+            continue;
+        }
+        Tick *at[] = {&a0, &a1, &b0, &b1};
+        *at[event.index] = event.tick;
+    }
+    // Both X copies land before either side completes; Y lands no
+    // later than Z (on a tie its completion fires first: it was issued
+    // first).
+    ASSERT_LT(std::max(a0, b0), a1);
+    ASSERT_LE(a1, b1);
+    // Held until both sides are complete. It waits on side A, then on
+    // side B, yet counts once; Y waits for side B too.
+    EXPECT_GE(emit[0], std::max(a1, b1));
+    EXPECT_EQ(t.forwardWaits, 2u);
+    // The last arrival unblocks all three outputs; they leave in
+    // ascending output index.
+    EXPECT_LT(emit[0], emit[1]);
+    EXPECT_LT(emit[1], emit[2]);
+}
+
+TEST(EventEngine, InjectedBackpressureCountsFiredStallsAndOnlyDelays)
+{
+    const Batch batch = EventRig().makeBatch(32, 16, 41, 1.0);
+    auto run = [&](fault::FaultPlan *plan) {
+        ScopedInstruments install({.faults = plan});
+        EventRig rig;
+        EventDrivenEngine engine(rig.memory, rig.layout,
+                                 EventEngineConfig{});
+        return engine.lookup(batch, 0);
+    };
+    const EventLookupTiming clean = run(nullptr);
+    EXPECT_EQ(clean.injectedBackpressure, 0u);
+
+    fault::FaultPlan plan = fault::FaultPlan::parse("pe_backpressure:0.3", 5);
+    const EventLookupTiming faulted = run(&plan);
+    EXPECT_GT(faulted.injectedBackpressure, 0u);
+    EXPECT_EQ(faulted.injectedBackpressure,
+              plan.firedCount(fault::Hook::PeBackpressure));
+    // One check per delivery.
+    EXPECT_GT(plan.checkedCount(fault::Hook::PeBackpressure),
+              faulted.injectedBackpressure);
+
+    ASSERT_EQ(faulted.queryComplete.size(), clean.queryComplete.size());
+    for (std::size_t q = 0; q < clean.queryComplete.size(); ++q)
+        EXPECT_GE(faulted.queryComplete[q], clean.queryComplete[q])
+            << "query " << q;
+    EXPECT_GT(faulted.complete, clean.complete);
 }

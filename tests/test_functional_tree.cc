@@ -383,7 +383,7 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     // opposite input — the root output stage sums the two disjoint
     // partials (the one case the paper's "at least at the root" elides).
     for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(run.rootItemsPerQuery[q], q == 2 ? 2u : 1u)
+        EXPECT_EQ(run.rootOutputsOf(q).size(), q == 2 ? 2u : 1u)
             << "query " << q;
         EXPECT_TRUE(vectorsEqual(run.results[q],
                                  store.reduce(queries[q])))

@@ -276,7 +276,21 @@ runCase(const Case &c, PeActivity &swept)
         }
         expectSameActivity(run.total, want.total, "tree total");
         EXPECT_EQ(run.rootCombines, want.rootCombines);
-        EXPECT_EQ(run.rootItemsPerQuery, want.rootItemsPerQuery);
+        // The query->root index lists exactly the root outputs whose
+        // literal header carries the query, in ascending order.
+        ASSERT_EQ(want.rootItemsPerQuery.size(), run.sets.numQueries());
+        for (QueryId q = 0; q < want.rootItemsPerQuery.size(); ++q) {
+            std::vector<std::uint32_t> carriers;
+            for (std::size_t k = 0; k < want.rootOutputs.size(); ++k)
+                if (want.rootOutputs[k].item.findQuery(q) != nullptr)
+                    carriers.push_back(static_cast<std::uint32_t>(k));
+            const auto index = run.rootOutputsOf(q);
+            EXPECT_EQ(std::vector<std::uint32_t>(index.begin(), index.end()),
+                      carriers)
+                << "query " << q;
+            EXPECT_EQ(index.size(), want.rootItemsPerQuery[q])
+                << "query " << q;
+        }
         EXPECT_EQ(run.maxPeOutputs, want.maxPeOutputs);
         ASSERT_EQ(run.results.size(), want.results.size());
         for (std::size_t q = 0; q < want.results.size(); ++q)
