@@ -193,24 +193,27 @@ benchPe(std::size_t pairs, std::size_t dim, bool values,
     makePeSides(pairs, dim, values, sets, a, b);
     const std::size_t num_sets = sets.numSets();
 
-    PeActivity activity;
     VectorPool pool;
+    OutputTable table(values);
+    const RowRange in_a = table.addInputs(a, &pool);
+    const RowRange in_b = table.addInputs(b, &pool);
+    ProcessingElement pe;
+    PeActivity activity;
     std::size_t outputs = 0;
     const auto begin = Clock::now();
     for (std::uint64_t it = 0; it < iterations; ++it) {
-        auto out = ProcessingElement::process(
-            sets, a, b, activity, values, embedding::ReduceOp::Sum, &pool);
+        const RowRange out = pe.process(sets, table, in_a, in_b, activity,
+                                        embedding::ReduceOp::Sum, &pool);
         outputs += out.size();
-        // Steady state: a parent consumes these outputs and their value
-        // buffers come back, exactly as FunctionalTree::run recycles.
-        for (auto &o : out)
-            pool.release(std::move(o.item.value));
+        // Steady state: a parent consumes these rows and their value
+        // buffers come back, as FunctionalTree::run recycles them.
+        table.truncate(out.begin, pool);
     }
     const auto end = Clock::now();
     FAFNIR_ASSERT(outputs == pairs * iterations, "unexpected PE outputs");
     // Each reduce's union is its query's set, interned by makePeSides,
     // so the table never grows and every iteration does the same union
-    // work as the first: a slot-list merge plus a content probe.
+    // work as the first: a hash probe that finds the interned set.
     FAFNIR_ASSERT(sets.numSets() == num_sets, "PE grew the set table");
 
     const double elapsed = seconds(begin, end);

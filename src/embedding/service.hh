@@ -3,14 +3,15 @@
  * Open-loop serving model and the guarded serving layer.
  *
  * Production recommenders care about tail latency under a given request
- * rate, not only isolated batch latency. ServiceModel feeds a batch
+ * rate, not only isolated batch latency. serveOpenLoop() feeds a batch
  * stream at fixed inter-arrival times into any lookup engine (via an
- * adapter callback) and reports queueing + service latency percentiles
- * and the saturation point. Requests are admitted in arrival order; the
- * engine serializes service (one batch in flight), which models the
- * paper's single accelerator front-end.
+ * adapter callback) and returns a ServiceReport of queueing + service
+ * latency percentiles and the saturation point. Requests are admitted in
+ * arrival order; the engine serializes service (one batch in flight),
+ * which models the paper's single accelerator front-end.
  *
- * ServiceGuard wraps the same adapter with the robustness contract the
+ * serveGuardedOpenLoop() serves the same stream through a ServiceGuard,
+ * which wraps the adapter with the robustness contract the
  * fault-injection layer exercises: untrusted batches pass admission
  * checks (Batch::validate), served queries get per-query deadlines
  * measured from arrival, transient faults and deadline misses trigger

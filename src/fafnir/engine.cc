@@ -200,9 +200,10 @@ FafnirEngine::runPrepared(const PreparedBatch &prepared, Tick start,
             static_cast<std::uint64_t>(outputs.size()) * vector_bytes;
         out_times[pe].reserve(outputs.size());
         for (std::size_t k = 0; k < outputs.size(); ++k) {
-            const Cycles action = outputs[k].action == PeAction::Reduce
-                ? config_.latency.reducePath()
-                : config_.latency.forwardPath();
+            const bool reduce =
+                run.output(pe, k).action == PeAction::Reduce;
+            const Cycles action = reduce ? config_.latency.reducePath()
+                                         : config_.latency.forwardPath();
             const Cycles total = action + config_.latency.merge + link +
                                  k * config_.latency.issue;
             out_times[pe].push_back(ready + total * pePeriod_);
@@ -217,7 +218,7 @@ FafnirEngine::runPrepared(const PreparedBatch &prepared, Tick start,
     std::vector<std::pair<Tick, QueryId>> finish_order;
     finish_order.reserve(num_queries);
     const auto &root_times = out_times[TreeTopology::rootPe()];
-    FAFNIR_ASSERT(root_times.size() == run.rootOutputs.size(),
+    FAFNIR_ASSERT(root_times.size() == run.root.size(),
                   "root trace size mismatch");
     for (QueryId q = 0; q < num_queries; ++q) {
         const auto outputs = run.rootOutputsOf(q);

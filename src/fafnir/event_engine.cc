@@ -166,9 +166,8 @@ EventDrivenEngine::Pipeline::Pipeline(EventDrivenEngine &engine,
     // fill back to front so every list stays in ascending output order.
     for (unsigned p = 1; p <= num_pes; ++p) {
         const Pe &pe = pes[p];
-        const auto &outputs = run.trace[p].outputs;
-        for (std::uint32_t k = 0; k < outputs.size(); ++k) {
-            const PeTraceOutput &out = outputs[k];
+        for (std::uint32_t k = 0; k < run.trace[p].outputs.size(); ++k) {
+            const OutputRef out = run.output(p, k);
             FAFNIR_ASSERT(!out.sources.empty(), "output without sources");
             missing[pe.outBase + k] =
                 static_cast<std::uint32_t>(out.sources.size());
@@ -187,9 +186,9 @@ EventDrivenEngine::Pipeline::Pipeline(EventDrivenEngine &engine,
     consumers.resize(consumerStart.back());
     for (unsigned p = num_pes; p >= 1; --p) {
         const Pe &pe = pes[p];
-        const auto &outputs = run.trace[p].outputs;
-        for (auto k = static_cast<std::uint32_t>(outputs.size()); k-- > 0;)
-            for (const Provenance &src : outputs[k].sources)
+        for (auto k = static_cast<std::uint32_t>(run.trace[p].outputs.size());
+             k-- > 0;)
+            for (const Provenance &src : run.output(p, k).sources)
                 consumers[--consumerStart[pe.inBase[src.side] +
                                           src.index]] = k;
     }
@@ -293,7 +292,7 @@ void
 EventDrivenEngine::Pipeline::emit(std::uint32_t p, std::uint32_t k)
 {
     Pe &pe = pes[p];
-    const PeTraceOutput &out = run.trace[p].outputs[k];
+    const OutputRef out = run.output(p, k);
     const EventEngineConfig &config = engine.config_;
     EventQueue &eq = engine.memory_.eventq();
     const Tick period = engine.pePeriod_;
@@ -589,7 +588,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             while (true) {
                 path.push_back({pe, k});
                 const Pipeline::Pe &state = pipe.pes[pe];
-                const PeTraceOutput &out = run.trace[pe].outputs[k];
+                const OutputRef out = run.output(pe, k);
                 const Provenance *bind = nullptr;
                 Tick best = 0;
                 for (const Provenance &src : out.sources) {
@@ -621,8 +620,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             Tick prev = lr.complete;
             for (auto it = path.rbegin(); it != path.rend(); ++it) {
                 const Pipeline::Pe &state = pipe.pes[it->pe];
-                const PeTraceOutput &out =
-                    run.trace[it->pe].outputs[it->out];
+                const OutputRef out = run.output(it->pe, it->out);
                 const Tick compute = state.pathTicks[
                     out.action == PeAction::Reduce ? 0 : 1];
                 const Tick emit = pipe.emitTick[state.outBase + it->out];
@@ -674,16 +672,20 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             }
         }
 
+        // Reduce emissions of PE p.
+        auto reduce_outputs = [&run](unsigned p) {
+            std::uint64_t reduces = 0;
+            for (std::size_t k = 0; k < run.trace[p].outputs.size(); ++k)
+                reduces += run.output(p, k).action == PeAction::Reduce;
+            return reduces;
+        };
         // Meeting-level histogram: one pairwise merge per reduce
         // emission at that PE's height; the root's serial combines
         // merge at the root level.
         if (attr) {
-            for (unsigned p = 1; p <= num_pes; ++p) {
-                std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
-                attr->recordMeeting(topology_.heightOf(p), reduces);
-            }
+            for (unsigned p = 1; p <= num_pes; ++p)
+                attr->recordMeeting(topology_.heightOf(p),
+                                    reduce_outputs(p));
             attr->recordMeeting(topology_.numLevels() - 1,
                                 run.rootCombines);
         }
@@ -691,9 +693,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         // hot path): code = PE id; a = tree height, b = reduce count.
         if (auto *rec = instruments().recorder) {
             for (unsigned p = 1; p <= num_pes; ++p) {
-                std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
+                const std::uint64_t reduces = reduce_outputs(p);
                 if (reduces > 0)
                     rec->record(telemetry::Stage::PeMeeting,
                                 timing.complete, p,

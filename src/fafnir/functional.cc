@@ -22,89 +22,70 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
 
     TreeRun run;
     run.sets = prepared.sets;
+    run.table = OutputTable(values);
+    OutputTable &table = run.table;
     if (keep_trace)
         run.trace.resize(num_pes + 1);
-
-    // Assemble the leaf PE input sides from the per-rank read lists.
-    std::vector<std::vector<Item>> side_a(num_pes + 1);
-    std::vector<std::vector<Item>> side_b(num_pes + 1);
     FAFNIR_ASSERT(prepared.rankReads.size() >= topology_.numRanks(),
                   "prepared batch covers ", prepared.rankReads.size(),
                   " ranks, tree expects ", topology_.numRanks());
-    for (unsigned rank = 0; rank < topology_.numRanks(); ++rank) {
-        const unsigned pe = topology_.leafPeOf(rank);
-        auto &side = topology_.sideOf(rank) == 0 ? side_a[pe] : side_b[pe];
-        for (const auto &read : prepared.rankReads[rank])
-            side.push_back(read.item);
-    }
 
     // Children have larger heap ids than parents, so a descending sweep
-    // evaluates each PE after both of its children. The pool recycles
-    // each level's dead value buffers into the next level's outputs.
+    // evaluates each PE after both of its children. A leaf PE's inputs
+    // enter the table first: side s gathers its ranks r with
+    // sideOf(r) == s, in rank order. The pool recycles each PE's dead
+    // value buffers into the outputs that follow.
     VectorPool pool;
-    std::vector<std::vector<Item>> outputs(num_pes + 1);
+    std::vector<RowRange> produced(num_pes + 1);
+    const unsigned per_leaf = topology_.ranksPerLeafPe();
     for (unsigned pe = num_pes; pe >= 1; --pe) {
-        std::vector<Item> *a = &side_a[pe];
-        std::vector<Item> *b = &side_b[pe];
-        if (!topology_.isLeafPe(pe)) {
-            a = &outputs[topology_.leftChild(pe)];
-            b = &outputs[topology_.rightChild(pe)];
+        RowRange in[2];
+        if (topology_.isLeafPe(pe)) {
+            const unsigned first = (pe - topology_.numLeafPes()) * per_leaf;
+            const unsigned last =
+                std::min(first + per_leaf, topology_.numRanks());
+            for (unsigned side = 0; side < 2; ++side) {
+                in[side].begin = static_cast<std::uint32_t>(table.size());
+                for (unsigned rank = first + side; rank < last; rank += 2)
+                    for (const auto &read : prepared.rankReads[rank])
+                        table.addInput(read.item, &pool);
+                in[side].end = static_cast<std::uint32_t>(table.size());
+            }
+        } else {
+            in[0] = produced[topology_.leftChild(pe)];
+            in[1] = produced[topology_.rightChild(pe)];
         }
 
         PeActivity activity;
-        std::vector<PeOutput> pe_out = ProcessingElement::process(
-            run.sets, *a, *b, activity, values, op, &pool,
-            prepared.payload);
+        const RowRange out = pe_.process(run.sets, table, in[0], in[1],
+                                         activity, op, &pool,
+                                         prepared.payload);
+        produced[pe] = out;
         run.total += activity;
-        run.maxPeOutputs = std::max(run.maxPeOutputs, pe_out.size());
-
-        if (keep_trace) {
-            PeTrace &trace = run.trace[pe];
-            trace.inputs[0] = a->size();
-            trace.inputs[1] = b->size();
-            trace.outputs.reserve(pe_out.size());
-            for (const PeOutput &out : pe_out)
-                trace.outputs.push_back(
-                    {out.action, out.sources, out.item.queries});
-            trace.activity = activity;
-        }
-
-        if (pe == TreeTopology::rootPe()) {
-            run.rootOutputs = std::move(pe_out);
-        } else {
-            outputs[pe].reserve(pe_out.size());
-            for (auto &out : pe_out)
-                outputs[pe].push_back(std::move(out.item));
-        }
-        // The inputs are consumed: recycle their value buffers, then
-        // free the item lists eagerly.
-        if (!topology_.isLeafPe(pe)) {
-            pool.releaseValues(outputs[topology_.leftChild(pe)]);
-            pool.releaseValues(outputs[topology_.rightChild(pe)]);
-            outputs[topology_.leftChild(pe)].clear();
-            outputs[topology_.rightChild(pe)].clear();
-        } else {
-            pool.releaseValues(side_a[pe]);
-            pool.releaseValues(side_b[pe]);
-        }
+        run.maxPeOutputs = std::max(run.maxPeOutputs, out.size());
+        if (keep_trace)
+            run.trace[pe] = {{in[0].size(), in[1].size()}, out, activity};
+        // The inputs are consumed: recycle their value buffers.
+        table.releaseValues(in[0], pool);
+        table.releaseValues(in[1], pool);
         if (pe == 1)
             break; // unsigned loop guard
     }
+    run.root = produced[TreeTopology::rootPe()];
 
     // Query->root-output index: count per query, prefix-sum to list
     // ends, then fill back to front so every list stays ascending.
     IndexSetTable &sets = run.sets;
     const std::size_t num_queries = sets.numQueries();
     run.rootQueryStart.assign(num_queries + 1, 0);
-    for (const auto &out : run.rootOutputs)
-        for (QueryId q : out.item.queries)
+    for (std::uint32_t row = run.root.begin; row < run.root.end; ++row)
+        for (QueryId q : table[row].queries)
             ++run.rootQueryStart[q];
     std::partial_sum(run.rootQueryStart.begin(), run.rootQueryStart.end(),
                      run.rootQueryStart.begin());
     run.rootQueryOutputs.resize(run.rootQueryStart.back());
-    for (auto k = static_cast<std::uint32_t>(run.rootOutputs.size());
-         k-- > 0;) {
-        for (QueryId q : run.rootOutputs[k].item.queries)
+    for (auto k = static_cast<std::uint32_t>(run.root.size()); k-- > 0;) {
+        for (QueryId q : run.rootOutput(k).queries)
             run.rootQueryOutputs[--run.rootQueryStart[q]] = k;
     }
 
@@ -116,21 +97,20 @@ FunctionalTree::run(const PreparedBatch &prepared, bool values,
         embedding::Vector acc;
         const auto root_items = run.rootOutputsOf(q);
         for (const std::uint32_t k : root_items) {
-            const PeOutput &out = run.rootOutputs[k];
-            const SetId grown = sets.unite(covered, out.item.indices);
+            const SetId indices = run.rootOutput(k).indices;
+            const SetId grown = sets.unite(covered, indices);
             FAFNIR_ASSERT(sets.size(grown) ==
-                              sets.size(covered) +
-                                  sets.size(out.item.indices),
+                              sets.size(covered) + sets.size(indices),
                           "query ", q, ": overlapping root items — ",
                           sets.indexSet(covered).toString(), " vs ",
-                          sets.indexSet(out.item.indices).toString());
+                          sets.indexSet(indices).toString());
             covered = grown;
-            if (values && !out.item.value.empty()) {
+            const embedding::Vector &value = table.value(run.root.begin + k);
+            if (!value.empty()) {
                 if (acc.empty()) {
-                    acc = out.item.value;
+                    acc = value;
                 } else {
-                    embedding::combineSpan(op, acc.data(),
-                                           out.item.value.data(),
+                    embedding::combineSpan(op, acc.data(), value.data(),
                                            acc.size());
                 }
             }

@@ -32,22 +32,13 @@
 namespace fafnir::core
 {
 
-/** One traced PE output: what the timing engines replay. */
-struct PeTraceOutput
-{
-    PeAction action = PeAction::Forward;
-    SmallVec<Provenance, 2> sources;
-    /** Ids of the queries the output serves (attribution tags). */
-    SmallVec<QueryId, 2> queries;
-};
-
 /** Captured shape of one PE for one batch. */
 struct PeTrace
 {
     /** Entries delivered on input A ([0]) and input B ([1]). */
     std::size_t inputs[2] = {0, 0};
-    /** Post-merge outputs in issue order. */
-    std::vector<PeTraceOutput> outputs;
+    /** Post-merge outputs in issue order: rows of TreeRun::table. */
+    RowRange outputs;
     PeActivity activity;
 };
 
@@ -56,11 +47,17 @@ struct TreeRun
 {
     /**
      * The batch's index sets plus every union the run formed; the
-     * headers of rootOutputs index into it.
+     * headers in table index into it.
      */
     IndexSetTable sets;
-    /** Root output items (post-merge). */
-    std::vector<PeOutput> rootOutputs;
+    /**
+     * Every leaf input and PE output of the run, one row each. Value
+     * runs keep the values of the root outputs only; the rest are
+     * recycled once consumed.
+     */
+    OutputTable table;
+    /** Root output rows (post-merge), in issue order. */
+    RowRange root;
     /** Reduced vector per query id; empty vectors in timing-only runs. */
     std::vector<embedding::Vector> results;
     /** Summed PE activity over the whole tree. */
@@ -80,6 +77,21 @@ struct TreeRun
     VectorPool::Stats poolStats;
     /** Per-PE traces, indexed by heap id; kept only when requested. */
     std::vector<PeTrace> trace;
+
+    /** Output @p k of PE @p pe (traced runs). */
+    OutputRef
+    output(unsigned pe, std::size_t k) const
+    {
+        return table[trace[pe].outputs.begin +
+                     static_cast<std::uint32_t>(k)];
+    }
+
+    /** Root output @p k. */
+    OutputRef
+    rootOutput(std::size_t k) const
+    {
+        return table[root.begin + static_cast<std::uint32_t>(k)];
+    }
 
     /** Root outputs feeding query @p q (>= 1), ascending. */
     std::span<const std::uint32_t>
@@ -115,6 +127,12 @@ class FunctionalTree
 
   private:
     TreeTopology topology_;
+    /**
+     * The PE model and its scratch buffers, reused for every PE of every
+     * run. They belong to this instance, so one tree must not run on two
+     * threads at once; every engine owns its own.
+     */
+    mutable ProcessingElement pe_;
 };
 
 } // namespace fafnir::core

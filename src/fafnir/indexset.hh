@@ -13,9 +13,12 @@
  *    gives each unique index of a batch a dense slot, in ascending
  *    IndexId order, and a set becomes a 32-bit SetId naming one sorted
  *    slot list in the table. Each distinct set is stored once with its
- *    size, so equality is an id compare and size is O(1). Slots preserve
- *    IndexId order, so lexicographic order on slot lists equals
- *    IndexSet order.
+ *    size and an additive content hash (the sum of a 64-bit mix of each
+ *    slot), so equality is an id compare, size is O(1), and the hash of
+ *    a disjoint union is the sum of its operands' hashes: unite() probes
+ *    the content index without touching a slot list unless a candidate's
+ *    hash and size match. Slots preserve IndexId order, so lexicographic
+ *    order on slot lists equals IndexSet order.
  *
  * The table also holds the batch's full query sets. A residual is not
  * stored anywhere: for an item that sums `indices` and still serves query
@@ -210,9 +213,10 @@ class IndexSetTable
     SetId intern(std::span<const std::uint32_t> slots);
 
     /**
-     * Id of a ∪ b: a merge of the two slot lists, then intern().
-     * Results are not cached: the same pair of operands almost never
-     * meets twice in one batch. Overlapping operands give the true
+     * Id of a ∪ b. The additive hash of a disjoint union is
+     * hash(a) + hash(b), so a union formed before is found in O(1) plus
+     * one walk of the candidate against the two operands; a new one is
+     * merged straight into the table. Overlapping operands give the true
      * union, so size(unite(a, b)) == size(a) + size(b) is the O(1) test
      * that they were disjoint.
      */
@@ -238,6 +242,22 @@ class IndexSetTable
                                             sb.begin(), sb.end());
     }
 
+    /**
+     * The first two slots of @p id, each plus one so that a missing slot
+     * sorts first, packed high to low. Where the keys of two sets differ
+     * they order the sets exactly as less() does; equal keys leave the
+     * order to less().
+     */
+    std::uint64_t
+    sortKey(SetId id) const
+    {
+        const Entry &e = sets_[id];
+        const std::uint64_t first = e.size > 0 ? slots_[e.offset] + 1u : 0;
+        const std::uint64_t second =
+            e.size > 1 ? slots_[e.offset + 1] + 1u : 0;
+        return first << 32 | second;
+    }
+
     /** True if every slot of @p inner is in @p outer. */
     bool
     includes(SetId outer, SetId inner) const
@@ -251,8 +271,31 @@ class IndexSetTable
     QueryId
     addQuery(SetId set)
     {
+        const auto q = static_cast<QueryId>(queries_.size());
         queries_.push_back(set);
-        return static_cast<QueryId>(queries_.size() - 1);
+        if (q < kMaskedQueries) {
+            if (users_.empty())
+                users_.assign(numSlots(), 0);
+            for (std::uint32_t s : slots(set))
+                users_[s] |= std::uint64_t{1} << q;
+        }
+        return q;
+    }
+
+    /**
+     * True if every slot of @p set is in querySet(@p q): the same test
+     * as includes(querySet(q), set), read for the first 64 queries from
+     * a per-slot mask of the queries that use the slot.
+     */
+    bool
+    wants(QueryId q, SetId set) const
+    {
+        if (q >= kMaskedQueries)
+            return includes(querySet(q), set);
+        std::uint64_t all = ~std::uint64_t{0};
+        for (std::uint32_t s : slots(set))
+            all &= users_[s];
+        return (all >> q & 1u) != 0;
     }
 
     std::size_t numQueries() const { return queries_.size(); }
@@ -272,8 +315,23 @@ class IndexSetTable
     {
         std::uint32_t offset;
         std::uint32_t size;
+        /** Sum of slotHash() over the slots. */
+        std::uint64_t hash;
     };
 
+    /**
+     * Bucket of the content index holding a set of @p size slots with
+     * content hash @p hash for which @p same holds, or else the empty
+     * bucket where such a set would go.
+     */
+    template <typename Same>
+    std::size_t findBucket(std::uint64_t hash, std::size_t size,
+                           Same same) const;
+    /** Intern slots_[offset..] (just appended) as a new set. */
+    SetId addSet(std::size_t bucket, std::uint32_t offset,
+                 std::uint64_t hash);
+    /** Double the content index, re-placing sets by their stored
+     *  hashes. */
     void growContent();
 
     std::vector<IndexId> indexOf_;
@@ -284,8 +342,10 @@ class IndexSetTable
     std::vector<SetId> byContent_;
     std::size_t contentCount_ = 0;
     std::vector<SetId> queries_;
-    /** Union merge buffer. */
-    std::vector<std::uint32_t> scratch_;
+    /** Queries tracked in users_. */
+    static constexpr QueryId kMaskedQueries = 64;
+    /** Per slot: bit q set when querySet(q) holds the slot (q < 64). */
+    std::vector<std::uint64_t> users_;
 };
 
 } // namespace fafnir::core

@@ -6,7 +6,6 @@
 #include "pe.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 #include "embedding/reduce_kernels.hh"
@@ -41,23 +40,58 @@ addValues(const embedding::Vector &a, const embedding::Vector &b,
     return out;
 }
 
-/** One compute-unit decision, before the merge unit. */
-struct RawOutput
-{
-    SetId indices;
-    QueryId query;
-    PeAction action;
-    /** Forward: {source}; reduce: {A operand, B operand}. */
-    Provenance sources[2];
-};
-
 } // namespace
 
-std::vector<PeOutput>
-ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
-                           const std::vector<Item> &b, PeActivity &activity,
-                           bool values, embedding::ReduceOp op,
-                           VectorPool *pool,
+void
+OutputTable::addInput(const Item &item, VectorPool *pool)
+{
+    const auto queries = static_cast<std::uint32_t>(queryIds_.size());
+    queryIds_.insert(queryIds_.end(), item.queries.begin(),
+                     item.queries.end());
+    const auto sources = static_cast<std::uint32_t>(sources_.size());
+    rows_.push_back({item.indices, PeAction::Forward, queries,
+                     static_cast<std::uint32_t>(queryIds_.size()), sources,
+                     sources});
+    if (withValues_)
+        values_.push_back(copyValue(item.value, pool));
+}
+
+RowRange
+OutputTable::addInputs(std::span<const Item> items, VectorPool *pool)
+{
+    RowRange range{static_cast<std::uint32_t>(rows_.size()), 0};
+    for (const Item &item : items)
+        addInput(item, pool);
+    range.end = static_cast<std::uint32_t>(rows_.size());
+    return range;
+}
+
+void
+OutputTable::releaseValues(RowRange range, VectorPool &pool)
+{
+    if (!withValues_)
+        return;
+    for (std::uint32_t row = range.begin; row < range.end; ++row)
+        pool.release(std::move(values_[row]));
+}
+
+void
+OutputTable::truncate(std::uint32_t row, VectorPool &pool)
+{
+    if (row >= rows_.size())
+        return;
+    releaseValues({row, static_cast<std::uint32_t>(rows_.size())}, pool);
+    queryIds_.resize(rows_[row].queryBegin);
+    sources_.resize(rows_[row].sourceBegin);
+    rows_.resize(row);
+    if (withValues_)
+        values_.resize(row);
+}
+
+RowRange
+ProcessingElement::process(IndexSetTable &sets, OutputTable &table,
+                           RowRange a, RowRange b, PeActivity &activity,
+                           embedding::ReduceOp op, VectorPool *pool,
                            embedding::PayloadFormat payload)
 {
     const bool quantized = payload != embedding::PayloadFormat::Fp32;
@@ -68,47 +102,51 @@ ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
     // Gather, per query, the buffer positions that carry it: a counting
     // sort over the batch's dense query ids, laid out per query as
     // [A positions | B positions], each in buffer order.
+    const std::vector<OutputTable::Row> &rows = table.rows_;
+    const std::vector<QueryId> &query_ids = table.queryIds_;
     const std::size_t num_queries = sets.numQueries();
-    std::vector<std::uint32_t> count(2 * num_queries, 0);
-    const std::vector<Item> *sides[2] = {&a, &b};
+    count_.assign(2 * num_queries, 0);
+    const RowRange sides[2] = {a, b};
     for (unsigned side = 0; side < 2; ++side) {
-        for (const Item &item : *sides[side]) {
-            for (QueryId q : item.queries) {
+        for (std::uint32_t r = sides[side].begin; r < sides[side].end; ++r) {
+            for (std::uint32_t i = rows[r].queryBegin; i < rows[r].queryEnd;
+                 ++i) {
+                const QueryId q = query_ids[i];
                 FAFNIR_ASSERT(q < num_queries, "query ", q,
                               " outside the batch");
-                ++count[2 * q + side];
+                ++count_[2 * q + side];
             }
         }
     }
-    std::vector<std::uint32_t> cursor(2 * num_queries);
+    cursor_.resize(2 * num_queries);
     std::uint32_t total = 0;
-    for (std::size_t slot = 0; slot < cursor.size(); ++slot) {
-        cursor[slot] = total;
-        total += count[slot];
+    for (std::size_t slot = 0; slot < cursor_.size(); ++slot) {
+        cursor_[slot] = total;
+        total += count_[slot];
     }
-    std::vector<std::uint16_t> positions(total);
+    positions_.resize(total);
     for (unsigned side = 0; side < 2; ++side) {
-        const std::vector<Item> &items = *sides[side];
-        for (std::size_t i = 0; i < items.size(); ++i)
-            for (QueryId q : items[i].queries)
-                positions[cursor[2 * q + side]++] =
-                    static_cast<std::uint16_t>(i);
+        const RowRange in = sides[side];
+        for (std::uint32_t r = in.begin; r < in.end; ++r)
+            for (std::uint32_t i = rows[r].queryBegin; i < rows[r].queryEnd;
+                 ++i)
+                positions_[cursor_[2 * query_ids[i] + side]++] =
+                    static_cast<std::uint16_t>(r - in.begin);
     }
 
-    std::vector<RawOutput> raw;
-    raw.reserve(total);
-    const std::uint16_t *next = positions.data();
+    raw_.clear();
+    const std::uint16_t *next = positions_.data();
     for (QueryId q = 0; q < num_queries; ++q) {
         const std::uint16_t *in_a = next;
-        const std::uint16_t *in_b = in_a + count[2 * q];
-        const std::size_t n_a = count[2 * q];
-        const std::size_t n_b = count[2 * q + 1];
+        const std::uint16_t *in_b = in_a + count_[2 * q];
+        const std::size_t n_a = count_[2 * q];
+        const std::size_t n_b = count_[2 * q + 1];
         next = in_b + n_b;
         const std::size_t paired = std::min(n_a, n_b);
 
         for (std::size_t i = 0; i < paired; ++i) {
-            const SetId left = a[in_a[i]].indices;
-            const SetId right = b[in_b[i]].indices;
+            const SetId left = rows[a.begin + in_a[i]].indices;
+            const SetId right = rows[b.begin + in_b[i]].indices;
             const SetId merged = sets.unite(left, right);
             // Both operands are wanted by q exactly when they are
             // disjoint and their union lies inside q's set.
@@ -117,7 +155,7 @@ ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
                           "query ", q, ": operands ",
                           sets.indexSet(left).toString(), " and ",
                           sets.indexSet(right).toString(), " overlap");
-            FAFNIR_ASSERT(sets.includes(sets.querySet(q), merged),
+            FAFNIR_ASSERT(sets.wants(q, merged),
                           "query ", q, ": operands ",
                           sets.indexSet(merged).toString(),
                           " not wanted by query set ",
@@ -134,18 +172,18 @@ ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
                 activity.dequants += 2;
                 activity.requants += 1;
             }
-            raw.push_back({merged, q, PeAction::Reduce,
-                           {{0, in_a[i]}, {1, in_b[i]}}});
+            raw_.push_back({merged, q, PeAction::Reduce,
+                            {{0, in_a[i]}, {1, in_b[i]}}});
             ++activity.reduces;
         }
         for (std::size_t i = paired; i < n_a; ++i) {
-            raw.push_back({a[in_a[i]].indices, q, PeAction::Forward,
-                           {{0, in_a[i]}, {}}});
+            raw_.push_back({rows[a.begin + in_a[i]].indices, q,
+                            PeAction::Forward, {{0, in_a[i]}, {}}});
             ++activity.forwards;
         }
         for (std::size_t i = paired; i < n_b; ++i) {
-            raw.push_back({b[in_b[i]].indices, q, PeAction::Forward,
-                           {{1, in_b[i]}, {}}});
+            raw_.push_back({rows[b.begin + in_b[i]].indices, q,
+                            PeAction::Forward, {{1, in_b[i]}, {}}});
             ++activity.forwards;
         }
     }
@@ -155,64 +193,102 @@ ProcessingElement::process(IndexSetTable &sets, const std::vector<Item> &a,
     // so the first raw output of a set supplies the value and later ones
     // only contribute queries and sources; a repeated query is a
     // duplicate, since its residual is derived from (query, indices).
-    std::vector<std::uint32_t> order(raw.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t i, std::uint32_t j) {
-                  const SetId si = raw[i].indices;
-                  const SetId sj = raw[j].indices;
-                  return si == sj ? i < j : sets.less(si, sj);
+    // The sort runs on (key, raw position) alone; a run of equal keys
+    // holding more than one set is then put in full set order.
+    order_.clear();
+    for (std::uint32_t i = 0; i < raw_.size(); ++i)
+        order_.push_back({sets.sortKey(raw_[i].indices), i});
+    std::sort(order_.begin(), order_.end(),
+              [](const SortEntry &x, const SortEntry &y) {
+                  return x.key != y.key ? x.key < y.key : x.raw < y.raw;
               });
+    for (auto run = order_.begin(); run != order_.end();) {
+        const SetId head = raw_[run->raw].indices;
+        bool mixed = false;
+        auto run_end = run + 1;
+        for (; run_end != order_.end() && run_end->key == run->key;
+             ++run_end)
+            mixed |= raw_[run_end->raw].indices != head;
+        if (mixed) {
+            std::sort(run, run_end,
+                      [&](const SortEntry &x, const SortEntry &y) {
+                          const SetId sx = raw_[x.raw].indices;
+                          const SetId sy = raw_[y.raw].indices;
+                          return sx == sy ? x.raw < y.raw
+                                          : sets.less(sx, sy);
+                      });
+        }
+        run = run_end;
+    }
 
-    std::vector<PeOutput> outputs;
-    for (std::size_t k = 0; k < order.size();) {
-        const RawOutput &first = raw[order[k]];
+    std::vector<OutputTable::Row> &out_rows = table.rows_;
+    std::vector<QueryId> &out_queries = table.queryIds_;
+    std::vector<Provenance> &out_sources = table.sources_;
+    RowRange produced{static_cast<std::uint32_t>(out_rows.size()), 0};
+    for (std::size_t k = 0; k < order_.size();) {
+        const RawOutput &first = raw_[order_[k].raw];
         const bool reduce = first.action == PeAction::Reduce;
-        PeOutput out;
-        out.item.indices = first.indices;
-        out.item.queries.push_back(first.query);
-        out.action = first.action;
-        out.sources.push_back(first.sources[0]);
+        OutputTable::Row row{first.indices,
+                             first.action,
+                             static_cast<std::uint32_t>(out_queries.size()),
+                             0,
+                             static_cast<std::uint32_t>(out_sources.size()),
+                             0};
+        out_queries.push_back(first.query);
+        out_sources.push_back(first.sources[0]);
         if (reduce)
-            out.sources.push_back(first.sources[1]);
+            out_sources.push_back(first.sources[1]);
 
         std::size_t j = k + 1;
-        for (; j < order.size() && raw[order[j]].indices == first.indices;
+        for (; j < order_.size() &&
+               raw_[order_[j].raw].indices == first.indices;
              ++j) {
-            const RawOutput &dup = raw[order[j]];
-            if (out.item.hasQuery(dup.query)) {
+            const RawOutput &dup = raw_[order_[j].raw];
+            const auto queries_begin = out_queries.begin() + row.queryBegin;
+            if (std::find(queries_begin, out_queries.end(), dup.query) !=
+                out_queries.end()) {
                 ++activity.duplicatesDropped;
             } else {
-                out.item.queries.push_back(dup.query);
+                out_queries.push_back(dup.query);
                 ++activity.headersMerged;
             }
             const std::size_t n_src =
                 dup.action == PeAction::Reduce ? 2 : 1;
             for (std::size_t s = 0; s < n_src; ++s) {
-                if (std::find(out.sources.begin(), out.sources.end(),
-                              dup.sources[s]) == out.sources.end())
-                    out.sources.push_back(dup.sources[s]);
+                const auto sources_begin =
+                    out_sources.begin() + row.sourceBegin;
+                if (std::find(sources_begin, out_sources.end(),
+                              dup.sources[s]) == out_sources.end())
+                    out_sources.push_back(dup.sources[s]);
             }
             if (dup.action == PeAction::Reduce)
-                out.action = PeAction::Reduce;
+                row.action = PeAction::Reduce;
         }
+        row.queryEnd = static_cast<std::uint32_t>(out_queries.size());
+        row.sourceEnd = static_cast<std::uint32_t>(out_sources.size());
+        out_rows.push_back(row);
 
-        if (reduce) {
-            const Item &left = a[first.sources[0].index];
-            const Item &right = b[first.sources[1].index];
-            if (values && !left.value.empty()) {
-                out.item.value =
-                    addValues(left.value, right.value, op, pool);
+        if (table.withValues_) {
+            std::vector<embedding::Vector> &values = table.values_;
+            embedding::Vector value;
+            if (reduce) {
+                const embedding::Vector &left =
+                    values[a.begin + first.sources[0].index];
+                const embedding::Vector &right =
+                    values[b.begin + first.sources[1].index];
+                if (!left.empty())
+                    value = addValues(left, right, op, pool);
+            } else {
+                const Provenance src = first.sources[0];
+                value = copyValue(values[sides[src.side].begin + src.index],
+                                  pool);
             }
-        } else {
-            const Provenance src = first.sources[0];
-            out.item.value =
-                copyValue((*sides[src.side])[src.index].value, pool);
+            values.push_back(std::move(value));
         }
-        outputs.push_back(std::move(out));
         k = j;
     }
-    return outputs;
+    produced.end = static_cast<std::uint32_t>(out_rows.size());
+    return produced;
 }
 
 } // namespace fafnir::core

@@ -19,19 +19,28 @@
  * forwarded. This keeps every query's in-flight items disjoint partial
  * sums — the invariant the root combiner relies on.
  *
- * Representation. Headers are interned (IndexSetTable), so the model runs
- * on flat vectors: a counting sort over the batch's dense query ids
- * groups the buffer entries per query, and the merge unit sorts the raw
- * outputs by set order with id equality as the duplicate test. Output
- * order — ascending by index set, the first raw output of a set winning
- * and later ones folding in raw order — fixes each output's issue slot
- * in the timing engines.
+ * Representation. Headers are interned (IndexSetTable), and a tree run
+ * keeps every buffer entry in one flat OutputTable: a row holds the
+ * action, the SetId of its indices, a range of query ids and a range of
+ * provenance entries (plus one value vector per row in value runs). A
+ * PE reads its two inputs as row ranges of that table and appends its
+ * outputs to it, so a parent reads its children's rows in place. The
+ * PE's scratch (a counting sort over the batch's dense query ids that
+ * groups the buffer entries per query, the raw outputs and the merge
+ * unit's sort keys) is reused from one PE to the next. The merge unit
+ * sorts the raw outputs on a 64-bit key of each set's first two slots,
+ * falling back to full set order on ties, with id equality as the
+ * duplicate test. Output order — ascending by index set, the first raw
+ * output of a set winning and later ones folding in raw order — fixes
+ * each output's issue slot in the timing engines.
  */
 
 #ifndef FAFNIR_FAFNIR_PE_HH
 #define FAFNIR_FAFNIR_PE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/smallvec.hh"
@@ -122,28 +131,122 @@ struct Provenance
     bool operator==(const Provenance &other) const = default;
 };
 
-/** An output item tagged with the action that produced it. */
-struct PeOutput
+/** Half-open range [begin, end) of rows of an OutputTable. */
+struct RowRange
 {
-    Item item;
-    PeAction action = PeAction::Forward;
-    /** Input entries this output depends on (post-merge union). */
-    SmallVec<Provenance, 2> sources;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+
+    std::size_t size() const { return end - begin; }
+    bool empty() const { return begin == end; }
+};
+
+/** Read view of one OutputTable row; valid until the table grows. */
+struct OutputRef
+{
+    PeAction action;
+    /** Vectors already reduced into the row's value. */
+    SetId indices;
+    /** Queries that still want the value (the header's queries field). */
+    std::span<const QueryId> queries;
+    /** Input entries of the producing PE this row depends on (empty for
+     *  a leaf input). */
+    std::span<const Provenance> sources;
+
+    bool
+    hasQuery(QueryId q) const
+    {
+        return std::find(queries.begin(), queries.end(), q) !=
+               queries.end();
+    }
 };
 
 /**
- * Functional model of one PE processing the complete input sets of one
- * batch. Stateless; the tree evaluators own buffering and timing.
+ * Every buffer entry of one tree run, back to back: the leaf inputs as
+ * they enter and each PE's outputs as it produces them. Query ids and
+ * provenance live in two flat arrays that each row indexes by range.
+ * A table made with values carries one value vector per row; a
+ * header-only table carries none.
+ */
+class OutputTable
+{
+  public:
+    explicit OutputTable(bool values = false) : withValues_(values) {}
+
+    std::size_t size() const { return rows_.size(); }
+
+    OutputRef
+    operator[](std::uint32_t row) const
+    {
+        const Row &r = rows_[row];
+        return {r.action, r.indices,
+                {queryIds_.data() + r.queryBegin, r.queryEnd - r.queryBegin},
+                {sources_.data() + r.sourceBegin,
+                 r.sourceEnd - r.sourceBegin}};
+    }
+
+    /** Value of @p row; empty in a header-only table. */
+    const embedding::Vector &
+    value(std::uint32_t row) const
+    {
+        static const embedding::Vector kNone;
+        return withValues_ ? values_[row] : kNone;
+    }
+
+    /**
+     * Append @p item as an input row (no sources). Its value is copied
+     * when the table carries values, into @p pool's recycled capacity
+     * when one is supplied.
+     */
+    void addInput(const Item &item, VectorPool *pool = nullptr);
+
+    /** Append @p items as one input range. */
+    RowRange addInputs(std::span<const Item> items,
+                       VectorPool *pool = nullptr);
+
+    /** Recycle the value buffers of consumed rows @p range. */
+    void releaseValues(RowRange range, VectorPool &pool);
+
+    /** Drop the rows from @p row on, recycling their values into
+     *  @p pool. */
+    void truncate(std::uint32_t row, VectorPool &pool);
+
+  private:
+    friend class ProcessingElement;
+
+    struct Row
+    {
+        SetId indices;
+        PeAction action;
+        std::uint32_t queryBegin;
+        std::uint32_t queryEnd;
+        std::uint32_t sourceBegin;
+        std::uint32_t sourceEnd;
+    };
+
+    bool withValues_;
+    std::vector<Row> rows_;
+    std::vector<QueryId> queryIds_;
+    std::vector<Provenance> sources_;
+    /** One per row when withValues_ is set. */
+    std::vector<embedding::Vector> values_;
+};
+
+/**
+ * Functional model of a PE processing the complete input sets of one
+ * batch. Holds only scratch buffers, reused from call to call: one
+ * instance must not process on two threads at once.
  */
 class ProcessingElement
 {
   public:
     /**
-     * Process inputs A and B.
+     * Process inputs A = rows @p a and B = rows @p b of @p table, and
+     * append the merged outputs to @p table. Values are combined when
+     * the table carries them (timing-only runs on large batches skip
+     * the arithmetic).
      * @param sets the batch's index sets; reduces intern their unions
      *        into it.
-     * @param values when false, item values are not combined (timing-only
-     *        runs on large batches skip the arithmetic).
      * @param op element-wise operator of the reduce path.
      * @param pool optional buffer recycler for output values; results
      *        are bit-identical with or without one.
@@ -151,15 +254,14 @@ class ProcessingElement
      *        formats count dequant/requant codec work per meeting in
      *        @p activity (values are unchanged — the leaf round-trip
      *        already fixed them).
+     * @return the rows of the outputs, in issue order.
      */
-    static std::vector<PeOutput>
-    process(IndexSetTable &sets, const std::vector<Item> &a,
-            const std::vector<Item> &b, PeActivity &activity,
-            bool values = true,
-            embedding::ReduceOp op = embedding::ReduceOp::Sum,
-            VectorPool *pool = nullptr,
-            embedding::PayloadFormat payload =
-                embedding::PayloadFormat::Fp32);
+    RowRange process(IndexSetTable &sets, OutputTable &table, RowRange a,
+                     RowRange b, PeActivity &activity,
+                     embedding::ReduceOp op = embedding::ReduceOp::Sum,
+                     VectorPool *pool = nullptr,
+                     embedding::PayloadFormat payload =
+                         embedding::PayloadFormat::Fp32);
 
     /**
      * Upper bound on outputs: min(nm + n + m, batch) — Section IV-B.
@@ -169,6 +271,30 @@ class ProcessingElement
     {
         return std::min(n * m + n + m, batch);
     }
+
+  private:
+    /** One compute-unit decision, before the merge unit. */
+    struct RawOutput
+    {
+        SetId indices;
+        QueryId query;
+        PeAction action;
+        /** Forward: {source}; reduce: {A operand, B operand}. */
+        Provenance sources[2];
+    };
+
+    /** Merge-unit sort entry: set order key, then raw position. */
+    struct SortEntry
+    {
+        std::uint64_t key;
+        std::uint32_t raw;
+    };
+
+    std::vector<std::uint32_t> count_;
+    std::vector<std::uint32_t> cursor_;
+    std::vector<std::uint16_t> positions_;
+    std::vector<RawOutput> raw_;
+    std::vector<SortEntry> order_;
 };
 
 } // namespace fafnir::core

@@ -151,8 +151,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             state.arrival[side].assign(state.expected[side], MaxTick);
             state.remainingUses[side].assign(state.expected[side], 0);
         }
-        for (const auto &out : trace.outputs)
-            for (const Provenance &src : out.sources)
+        for (std::size_t k = 0; k < trace.outputs.size(); ++k)
+            for (const Provenance &src : run.output(pe, k).sources)
                 ++state.remainingUses[src.side][src.index];
         state.emitted.assign(trace.outputs.size(), false);
         state.countedForwardWait.assign(trace.outputs.size(), false);
@@ -160,7 +160,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         state.pipeFree = start;
     }
 
-    std::vector<Tick> root_times(run.rootOutputs.size(), MaxTick);
+    std::vector<Tick> root_times(run.root.size(), MaxTick);
 
     // --- Timeline tracing (no-ops when no sink is installed). -----------
     telemetry::TraceSink *ts = instruments().trace;
@@ -216,7 +216,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             for (std::size_t k = 0; k < trace.outputs.size(); ++k) {
                 if (state.emitted[k])
                     continue;
-                const PeTraceOutput &out = trace.outputs[k];
+                const OutputRef out = run.output(pe, k);
 
                 // All provenance must have arrived.
                 Tick ready = start;
@@ -433,8 +433,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
     for (QueryId q = 0; q < num_queries; ++q) {
         Tick tq = start;
         std::size_t root_items = 0;
-        for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-            if (run.rootOutputs[k].item.hasQuery(q)) {
+        for (std::size_t k = 0; k < run.root.size(); ++k) {
+            if (run.rootOutput(k).hasQuery(q)) {
                 FAFNIR_ASSERT(root_times[k] != MaxTick,
                               "root output never emitted");
                 tq = std::max(tq, root_times[k]);
@@ -485,17 +485,17 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         std::vector<Hop> path;
         for (QueryId q = 0; q < num_queries; ++q) {
             // Root output of q that bounds its tree time.
-            std::size_t k_last = run.rootOutputs.size();
+            std::size_t k_last = run.root.size();
             Tick t_last = 0;
-            for (std::size_t k = 0; k < run.rootOutputs.size(); ++k) {
-                if (run.rootOutputs[k].item.hasQuery(q) &&
-                    (k_last == run.rootOutputs.size() ||
+            for (std::size_t k = 0; k < run.root.size(); ++k) {
+                if (run.rootOutput(k).hasQuery(q) &&
+                    (k_last == run.root.size() ||
                      root_times[k] > t_last)) {
                     k_last = k;
                     t_last = root_times[k];
                 }
             }
-            if (k_last == run.rootOutputs.size())
+            if (k_last == run.root.size())
                 continue; // nothing reached the root for this query
 
             // Back-walk to the leaf, following binding arrivals.
@@ -506,7 +506,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             std::size_t leaf_index = 0;
             while (true) {
                 path.push_back({pe, k});
-                const PeTraceOutput &out = run.trace[pe].outputs[k];
+                const OutputRef out = run.output(pe, k);
                 const Provenance *bind = nullptr;
                 Tick best = 0;
                 for (const Provenance &src : out.sources) {
@@ -540,8 +540,7 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
             Tick forward_wait = 0;
             Tick prev = lr.complete;
             for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                const PeTraceOutput &out =
-                    run.trace[it->pe].outputs[it->out];
+                const OutputRef out = run.output(it->pe, it->out);
                 const Cycles cycles =
                     (out.action == PeAction::Reduce ? lat.reducePath()
                                                     : lat.forwardPath()) +
@@ -602,8 +601,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         if (attr) {
             for (unsigned p = 1; p <= num_pes; ++p) {
                 std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
+                for (std::size_t k = 0; k < run.trace[p].outputs.size(); ++k)
+                    reduces += run.output(p, k).action == PeAction::Reduce;
                 attr->recordMeeting(topology_.heightOf(p), reduces);
             }
             attr->recordMeeting(topology_.numLevels() - 1,
@@ -614,8 +613,8 @@ EventDrivenEngine::lookupPrepared(PreparedBatch &prepared, Tick start)
         if (auto *rec = instruments().recorder) {
             for (unsigned p = 1; p <= num_pes; ++p) {
                 std::uint64_t reduces = 0;
-                for (const auto &out : run.trace[p].outputs)
-                    reduces += out.action == PeAction::Reduce;
+                for (std::size_t k = 0; k < run.trace[p].outputs.size(); ++k)
+                    reduces += run.output(p, k).action == PeAction::Reduce;
                 if (reduces > 0)
                     rec->record(telemetry::Stage::PeMeeting,
                                 timing.complete, p,

@@ -9,6 +9,7 @@
  * outputs by IndexSet. This is the straightforward model the interned
  * production PE (src/fafnir/pe.cc) and tree evaluator
  * (src/fafnir/functional.cc) are pinned against, output by output.
+ * Header-only runs (values == false) carry no values, as in production.
  */
 
 #ifndef FAFNIR_TESTS_REFERENCE_TREE_HH
@@ -92,12 +93,14 @@ process(const std::vector<Item> &a, const std::vector<Item> &b,
         for (const auto &r : b[i].queries)
             by_query[r.query].second.push_back(i);
 
-    auto forward = [](const Item &source, const QueryResidual &residual,
-                      std::uint8_t side, std::size_t index) {
+    auto forward = [values](const Item &source,
+                            const QueryResidual &residual,
+                            std::uint8_t side, std::size_t index) {
         Item item;
         item.indices = source.indices;
         item.queries = {residual};
-        item.value = source.value;
+        if (values)
+            item.value = source.value;
         return PeOutput{std::move(item),
                         PeAction::Forward,
                         {{side, static_cast<std::uint16_t>(index)}}};

@@ -278,12 +278,12 @@ TEST(EventEngine, MergedForwardWaitsForBothSides)
     // Precondition: output 0 is the merged forward of X from A0 and B0.
     const TreeRun run = FunctionalTree(engine.topology())
                             .run(prepared, false, /*keep_trace=*/true);
-    const auto &outputs = run.trace[1].outputs;
-    ASSERT_EQ(outputs.size(), 3u);
-    ASSERT_EQ(outputs[0].action, PeAction::Forward);
-    ASSERT_EQ(outputs[0].sources.size(), 2u);
-    EXPECT_EQ(outputs[0].sources[0], (Provenance{0, 0}));
-    EXPECT_EQ(outputs[0].sources[1], (Provenance{1, 0}));
+    ASSERT_EQ(run.trace[1].outputs.size(), 3u);
+    const OutputRef merged = run.output(1, 0);
+    ASSERT_EQ(merged.action, PeAction::Forward);
+    ASSERT_EQ(merged.sources.size(), 2u);
+    EXPECT_EQ(merged.sources[0], (Provenance{0, 0}));
+    EXPECT_EQ(merged.sources[1], (Provenance{1, 0}));
 
     const EventLookupTiming t = engine.lookupPrepared(prepared, 0);
     // Delivery index = side * |A| + position; emission index = output.

@@ -337,11 +337,12 @@ TEST(EventOracle, ForwardsMergedAcrossSides)
             }
             const TreeRun run = FunctionalTree(layout_rig.engine.topology())
                                     .run(p, false, /*keep_trace=*/true);
-            for (const PeTrace &trace : run.trace)
-                for (const PeTraceOutput &out : trace.outputs)
-                    both_sided += out.action == PeAction::Forward &&
-                                  out.sources.size() == 2 &&
-                                  out.sources[0].side != out.sources[1].side;
+            for (std::uint32_t row = 0; row < run.table.size(); ++row) {
+                const OutputRef out = run.table[row];
+                both_sided += out.action == PeAction::Forward &&
+                              out.sources.size() == 2 &&
+                              out.sources[0].side != out.sources[1].side;
+            }
             prepared.push_back(std::move(p));
         }
         expectTwins(shape, config, prepared.size(),

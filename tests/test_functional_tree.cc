@@ -401,9 +401,9 @@ TEST(FunctionalTree, Figure6ExactPlacement)
     ASSERT_EQ(trace.outputs.size(), 3u);
     // Outputs in index-set order: {11}, {11,50}, {50}. The reduce
     // serves query c alone and reads both inputs.
-    EXPECT_EQ(trace.outputs[0].action, PeAction::Forward);
-    EXPECT_EQ(trace.outputs[2].action, PeAction::Forward);
-    const PeTraceOutput &reduced = trace.outputs[1];
+    EXPECT_EQ(run.output(pe01, 0).action, PeAction::Forward);
+    EXPECT_EQ(run.output(pe01, 2).action, PeAction::Forward);
+    const OutputRef reduced = run.output(pe01, 1);
     EXPECT_EQ(reduced.action, PeAction::Reduce);
     ASSERT_EQ(reduced.queries.size(), 1u);
     EXPECT_EQ(reduced.queries[0], 2u);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
 
 #include "common/random.hh"
@@ -237,4 +239,164 @@ TEST(IndexSetTable, RandomizedAgainstIndexSet)
             EXPECT_EQ(sets.indexSet(u), a.disjointUnion(b));
         }
     }
+}
+
+namespace
+{
+
+/** A random sorted, distinct slot list of up to @p max_size slots below
+ *  @p num_slots. */
+std::vector<std::uint32_t>
+drawSlots(Rng &rng, std::size_t num_slots, std::size_t max_size)
+{
+    std::vector<std::uint32_t> v;
+    const std::size_t n = rng.nextBelow(max_size + 1);
+    for (std::size_t i = 0; i < n; ++i)
+        v.push_back(static_cast<std::uint32_t>(rng.nextBelow(num_slots)));
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+}
+
+std::vector<std::uint32_t>
+slotsOf(const IndexSetTable &sets, SetId id)
+{
+    const auto s = sets.slots(id);
+    return {s.begin(), s.end()};
+}
+
+} // namespace
+
+/**
+ * Differential test of the hashed union: unite(a, b) must be exactly
+ * intern(set_union(a, b)) for disjoint and overlapping operands alike,
+ * a repeated union must return the same id without adding a set, and
+ * every new set must take the next id in creation order.
+ */
+TEST(IndexSetTable, UniteMatchesInternOfSetUnion)
+{
+    Rng rng(2024);
+    constexpr std::size_t kSlots = 48;
+    IndexSetTable sets(std::vector<IndexId>(
+        [] {
+            std::vector<IndexId> v(kSlots);
+            for (std::size_t i = 0; i < kSlots; ++i)
+                v[i] = static_cast<IndexId>(5 * i + 2);
+            return v;
+        }()));
+    // Every set ever interned, with its id: the model of creation order.
+    std::map<std::vector<std::uint32_t>, SetId> seen;
+    auto remember = [&](const std::vector<std::uint32_t> &slots, SetId id) {
+        if (slots.size() < 2)
+            return;
+        const auto [it, fresh] = seen.emplace(slots, id);
+        EXPECT_EQ(it->second, id) << "a set changed its id";
+        if (fresh) {
+            EXPECT_EQ(id, sets.numSets() - 1)
+                << "ids out of creation order";
+        }
+    };
+    std::size_t overlapping = 0;
+    std::size_t repeats = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const auto va = drawSlots(rng, kSlots, 10);
+        const auto vb = drawSlots(rng, kSlots, 10);
+        const SetId a = sets.intern(va);
+        remember(va, a);
+        const SetId b = sets.intern(vb);
+        remember(vb, b);
+
+        std::vector<std::uint32_t> want;
+        std::set_union(va.begin(), va.end(), vb.begin(), vb.end(),
+                       std::back_inserter(want));
+        const bool disjoint = want.size() == va.size() + vb.size();
+        overlapping += disjoint ? 0 : 1;
+        const bool known = want.size() < 2 || seen.count(want) != 0;
+        const std::size_t before = sets.numSets();
+        const SetId u = sets.unite(a, b);
+        EXPECT_EQ(slotsOf(sets, u), want) << "round " << round;
+        EXPECT_EQ(sets.numSets(), before + (known ? 0 : 1));
+        remember(want, u);
+        EXPECT_EQ(sets.size(u) == sets.size(a) + sets.size(b), disjoint);
+
+        // Intern of the same content, and the union again in either
+        // operand order, find the same id and add nothing.
+        const std::size_t after = sets.numSets();
+        EXPECT_EQ(sets.intern(want), u);
+        EXPECT_EQ(sets.unite(a, b), u);
+        EXPECT_EQ(sets.unite(b, a), u);
+        EXPECT_EQ(sets.numSets(), after);
+        repeats += known ? 1 : 0;
+    }
+    // Both operand kinds and both outcomes were exercised.
+    EXPECT_GT(overlapping, 500u);
+    EXPECT_GT(repeats, 100u);
+    EXPECT_GT(seen.size(), 1000u);
+}
+
+/**
+ * A table over few slots, filled with every subset of two or more slots
+ * so that distinct sets share buckets of the content index and it grows
+ * several times; every set must stay findable by content and by union.
+ */
+TEST(IndexSetTable, GrowthKeepsEverySetFindable)
+{
+    constexpr std::uint32_t kSlots = 9;
+    IndexSetTable sets({10, 11, 12, 13, 14, 15, 16, 17, 18});
+    std::vector<std::pair<std::vector<std::uint32_t>, SetId>> all;
+    for (std::uint32_t mask = 0; mask < (1u << kSlots); ++mask) {
+        std::vector<std::uint32_t> slots;
+        for (std::uint32_t s = 0; s < kSlots; ++s)
+            if ((mask >> s & 1u) != 0)
+                slots.push_back(s);
+        if (slots.size() < 2)
+            continue;
+        const std::size_t before = sets.numSets();
+        const SetId id = sets.intern(slots);
+        EXPECT_EQ(id, before); // new content, next id
+        all.emplace_back(std::move(slots), id);
+    }
+    ASSERT_EQ(all.size(), (1u << kSlots) - 1 - kSlots);
+    const std::size_t total = sets.numSets();
+    for (const auto &[slots, id] : all) {
+        EXPECT_EQ(sets.intern(slots), id);
+        EXPECT_EQ(slotsOf(sets, id), slots);
+        // Split off the first slot: the disjoint union finds the set.
+        const std::vector<std::uint32_t> rest(slots.begin() + 1,
+                                              slots.end());
+        EXPECT_EQ(sets.unite(IndexSetTable::single(slots[0]),
+                             sets.intern(rest)),
+                  id);
+        // Overlapping operands: the set with one of its own slots.
+        EXPECT_EQ(sets.unite(id, IndexSetTable::single(slots.back())), id);
+    }
+    EXPECT_EQ(sets.numSets(), total);
+}
+
+/** The merge unit's sort key agrees with less() wherever keys differ,
+ *  and wants() with includes() on either side of the 64-query mask. */
+TEST(IndexSetTable, SortKeyAndWantsAgreeWithSlotLists)
+{
+    Rng rng(99);
+    constexpr std::size_t kSlots = 30;
+    std::vector<IndexId> universe(kSlots);
+    for (std::size_t i = 0; i < kSlots; ++i)
+        universe[i] = static_cast<IndexId>(i);
+    IndexSetTable sets(universe);
+    for (int q = 0; q < 80; ++q)
+        sets.addQuery(sets.intern(drawSlots(rng, kSlots, 12)));
+    std::size_t key_ties = 0;
+    for (int round = 0; round < 2000; ++round) {
+        const SetId a = sets.intern(drawSlots(rng, kSlots, 6));
+        const SetId b = sets.intern(drawSlots(rng, kSlots, 6));
+        if (sets.sortKey(a) != sets.sortKey(b)) {
+            EXPECT_EQ(sets.sortKey(a) < sets.sortKey(b), sets.less(a, b));
+        } else {
+            ++key_ties;
+        }
+        const auto q = static_cast<QueryId>(rng.nextBelow(80));
+        EXPECT_EQ(sets.wants(q, a), sets.includes(sets.querySet(q), a))
+            << "query " << q;
+    }
+    EXPECT_GT(key_ties, 0u);
 }

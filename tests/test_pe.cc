@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "fafnir/pe.hh"
 
 using namespace fafnir;
 using namespace fafnir::core;
+using fafnir::embedding::Vector;
 
 namespace
 {
@@ -20,12 +23,17 @@ namespace
  * The index space of one test batch: query q's full set is queries[q],
  * interned over one slot per index the queries mention. An item's
  * residual for q is derived as queries[q] minus the item's indices.
+ * PE steps read and append rows of one output table.
  */
 struct Rig
 {
     IndexSetTable sets;
+    OutputTable table;
+    ProcessingElement pe;
 
-    explicit Rig(const std::vector<std::vector<IndexId>> &queries)
+    explicit Rig(const std::vector<std::vector<IndexId>> &queries,
+                 bool values = false)
+        : table(values)
     {
         std::vector<IndexId> all;
         for (const auto &q : queries)
@@ -58,30 +66,52 @@ struct Rig
         return it;
     }
 
-    std::vector<PeOutput>
+    /** One PE step over rows @p a and @p b. */
+    RowRange
+    run(RowRange a, RowRange b, PeActivity &activity)
+    {
+        return pe.process(sets, table, a, b, activity);
+    }
+
+    /** One PE step over fresh input rows @p a and @p b. */
+    RowRange
+    run(const std::vector<Item> &a, const std::vector<Item> &b,
+        PeActivity &activity)
+    {
+        const RowRange ra = table.addInputs(a);
+        const RowRange rb = table.addInputs(b);
+        return run(ra, rb, activity);
+    }
+
+    RowRange
     run(const std::vector<Item> &a, const std::vector<Item> &b)
     {
         PeActivity activity;
-        return ProcessingElement::process(sets, a, b, activity,
-                                          /*values=*/false);
+        return run(a, b, activity);
     }
 
-    const Item *
-    find(const std::vector<PeOutput> &outputs,
-         std::initializer_list<IndexId> indices) const
+    OutputRef
+    at(RowRange outputs, std::uint32_t k) const
+    {
+        return table[outputs.begin + k];
+    }
+
+    /** The output summing exactly @p indices, if any. */
+    std::optional<OutputRef>
+    find(RowRange outputs, std::initializer_list<IndexId> indices) const
     {
         const IndexSet key{std::vector<IndexId>(indices)};
-        for (const auto &out : outputs)
-            if (sets.indexSet(out.item.indices) == key)
-                return &out.item;
-        return nullptr;
+        for (std::uint32_t row = outputs.begin; row < outputs.end; ++row)
+            if (sets.indexSet(table[row].indices) == key)
+                return table[row];
+        return std::nullopt;
     }
 
-    /** Derived residual of @p item's @p i-th query. */
+    /** Derived residual of @p out's @p i-th query. */
     IndexSet
-    residual(const Item &item, std::size_t i) const
+    residual(const OutputRef &out, std::size_t i) const
     {
-        return sets.residual(item.indices, item.queries[i]);
+        return sets.residual(out.indices, out.queries[i]);
     }
 };
 
@@ -91,22 +121,25 @@ TEST(Pe, ReducesMatchingPair)
 {
     // Query 0 = {1, 2}: item {1} on A, item {2} on B -> one reduce.
     Rig rig({{1, 2}});
-    const auto out = rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
+    const RowRange out =
+        rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].action, PeAction::Reduce);
-    EXPECT_EQ(rig.sets.indexSet(out[0].item.indices), IndexSet({1, 2}));
-    ASSERT_EQ(out[0].item.queries.size(), 1u);
-    EXPECT_TRUE(rig.residual(out[0].item, 0).empty());
+    const OutputRef reduced = rig.at(out, 0);
+    EXPECT_EQ(reduced.action, PeAction::Reduce);
+    EXPECT_EQ(rig.sets.indexSet(reduced.indices), IndexSet({1, 2}));
+    ASSERT_EQ(reduced.queries.size(), 1u);
+    EXPECT_TRUE(rig.residual(reduced, 0).empty());
 }
 
 TEST(Pe, ForwardsWhenNoMatch)
 {
     // Query 0 = {1, 9}; B holds an unrelated query's item.
     Rig rig({{1, 9}, {5, 7}});
-    const auto out = rig.run({rig.item({1}, {0})}, {rig.item({5}, {1})});
+    const RowRange out =
+        rig.run({rig.item({1}, {0})}, {rig.item({5}, {1})});
     ASSERT_EQ(out.size(), 2u);
-    for (const auto &o : out)
-        EXPECT_EQ(o.action, PeAction::Forward);
+    for (std::uint32_t k = 0; k < out.size(); ++k)
+        EXPECT_EQ(rig.at(out, k).action, PeAction::Forward);
 }
 
 TEST(Pe, EmptySideForwardsEverything)
@@ -114,10 +147,11 @@ TEST(Pe, EmptySideForwardsEverything)
     // "In some cases only one of the inputs exists, which automatically
     // leads to a forward action" (Figure 6, PE (4|15)).
     Rig rig({{1, 9}, {2, 5}});
-    const auto out = rig.run({rig.item({1}, {0}), rig.item({2}, {1})}, {});
+    const RowRange out =
+        rig.run({rig.item({1}, {0}), rig.item({2}, {1})}, {});
     ASSERT_EQ(out.size(), 2u);
-    for (const auto &o : out)
-        EXPECT_EQ(o.action, PeAction::Forward);
+    for (std::uint32_t k = 0; k < out.size(); ++k)
+        EXPECT_EQ(rig.at(out, k).action, PeAction::Forward);
 }
 
 TEST(Pe, SharedItemReducesAndForwards)
@@ -126,16 +160,16 @@ TEST(Pe, SharedItemReducesAndForwards)
     // must also forward for query a.
     // query a (0) = {11, 44}; query c (2) = {50, 11}.
     Rig rig({{11, 44}, {99}, {50, 11}});
-    const auto out =
+    const RowRange out =
         rig.run({rig.item({50}, {2})}, {rig.item({11}, {0, 2})});
     // Expect: reduced {50,11} for query c; forwarded {11} for query a.
-    const Item *reduced = rig.find(out, {50, 11});
-    ASSERT_NE(reduced, nullptr);
+    const auto reduced = rig.find(out, {50, 11});
+    ASSERT_TRUE(reduced.has_value());
     EXPECT_EQ(reduced->queries.size(), 1u);
     EXPECT_EQ(reduced->queries[0], 2u);
 
-    const Item *forwarded = rig.find(out, {11});
-    ASSERT_NE(forwarded, nullptr);
+    const auto forwarded = rig.find(out, {11});
+    ASSERT_TRUE(forwarded.has_value());
     ASSERT_EQ(forwarded->queries.size(), 1u);
     EXPECT_EQ(forwarded->queries[0], 0u);
     EXPECT_EQ(rig.residual(*forwarded, 0), IndexSet({44}));
@@ -147,9 +181,8 @@ TEST(Pe, MergeUnitDropsDuplicateOutputs)
     // merge unit must emit it once.
     Rig rig({{1, 2}});
     PeActivity activity;
-    const auto out = ProcessingElement::process(
-        rig.sets, {rig.item({1}, {0})}, {rig.item({2}, {0})}, activity,
-        false);
+    const RowRange out =
+        rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})}, activity);
     EXPECT_EQ(out.size(), 1u);
     EXPECT_EQ(activity.reduces, 1u);
 }
@@ -160,10 +193,10 @@ TEST(Pe, MergeUnitConcatenatesHeaders)
     // merge unit concatenates the queries fields (Figure 6 step at
     // PE (2|3)).
     Rig rig({{1, 2, 7}, {1, 2, 9}});
-    const auto out =
+    const RowRange out =
         rig.run({rig.item({1}, {0, 1})}, {rig.item({2}, {0, 1})});
-    const Item *merged = rig.find(out, {1, 2});
-    ASSERT_NE(merged, nullptr);
+    const auto merged = rig.find(out, {1, 2});
+    ASSERT_TRUE(merged.has_value());
     ASSERT_EQ(merged->queries.size(), 2u);
     EXPECT_EQ(rig.residual(*merged, 0), IndexSet({7}));
     EXPECT_EQ(rig.residual(*merged, 1), IndexSet({9}));
@@ -174,18 +207,19 @@ TEST(Pe, SameSideMultiplicityPairsOnce)
     // Query 0 = {1, 2, 3}; A holds {1} and {2}, B holds {3}. Exactly one
     // of A's items may reduce with B's; the other must forward.
     Rig rig({{1, 2, 3}});
-    const auto out = rig.run({rig.item({1}, {0}), rig.item({2}, {0})},
-                             {rig.item({3}, {0})});
+    const RowRange out = rig.run({rig.item({1}, {0}), rig.item({2}, {0})},
+                                 {rig.item({3}, {0})});
     unsigned reduces = 0;
     unsigned forwards = 0;
     IndexSet covered;
-    for (const auto &o : out) {
+    for (std::uint32_t k = 0; k < out.size(); ++k) {
+        const OutputRef o = rig.at(out, k);
         if (o.action == PeAction::Reduce)
             ++reduces;
         else
             ++forwards;
         // Items of one query stay pairwise disjoint.
-        const IndexSet indices = rig.sets.indexSet(o.item.indices);
+        const IndexSet indices = rig.sets.indexSet(o.indices);
         EXPECT_TRUE(covered.disjointWith(indices));
         covered = covered.disjointUnion(indices);
     }
@@ -196,28 +230,42 @@ TEST(Pe, SameSideMultiplicityPairsOnce)
 
 TEST(Pe, ValuesAreSummedWhenPresent)
 {
-    Rig rig({{1, 2}});
+    Rig rig({{1, 2}}, /*values=*/true);
     Item a = rig.item({1}, {0});
     Item b = rig.item({2}, {0});
     a.value = {1.0f, 2.0f};
     b.value = {10.0f, 20.0f};
-    PeActivity activity;
-    const auto out = ProcessingElement::process(rig.sets, {a}, {b},
-                                                activity, /*values=*/true);
+    const RowRange out = rig.run({a}, {b});
     ASSERT_EQ(out.size(), 1u);
-    ASSERT_EQ(out[0].item.value.size(), 2u);
-    EXPECT_FLOAT_EQ(out[0].item.value[0], 11.0f);
-    EXPECT_FLOAT_EQ(out[0].item.value[1], 22.0f);
+    const Vector &sum = rig.table.value(out.begin);
+    ASSERT_EQ(sum.size(), 2u);
+    EXPECT_FLOAT_EQ(sum[0], 11.0f);
+    EXPECT_FLOAT_EQ(sum[1], 22.0f);
+}
+
+TEST(Pe, HeaderOnlyTableCarriesNoValues)
+{
+    // Timing runs skip the arithmetic: leaf values are not even copied.
+    Rig rig({{1, 2}, {3}});
+    Item a = rig.item({1}, {0});
+    a.value = {1.0f};
+    Item b = rig.item({2}, {0});
+    b.value = {2.0f};
+    Item c = rig.item({3}, {1});
+    c.value = {3.0f};
+    const RowRange out = rig.run({a, c}, {b});
+    ASSERT_EQ(out.size(), 2u);
+    for (std::uint32_t row = 0; row < rig.table.size(); ++row)
+        EXPECT_TRUE(rig.table.value(row).empty()) << "row " << row;
 }
 
 TEST(Pe, ActivityCountsCompares)
 {
     Rig rig({{1, 9}, {2, 9}, {3, 9}, {4, 9}, {5, 9}});
     PeActivity activity;
-    ProcessingElement::process(
-        rig.sets, {rig.item({1}, {0}), rig.item({2}, {1})},
-        {rig.item({3}, {2}), rig.item({4}, {3}), rig.item({5}, {4})},
-        activity, false);
+    rig.run({rig.item({1}, {0}), rig.item({2}, {1})},
+            {rig.item({3}, {2}), rig.item({4}, {3}), rig.item({5}, {4})},
+            activity);
     EXPECT_EQ(activity.compares, 6u); // 2 x 3 fabric comparisons
 }
 
@@ -229,17 +277,26 @@ TEST(Pe, OutputBoundFormula)
 
 TEST(Pe, PartialChainOverTwoLevels)
 {
-    // Level 1 reduces {1}+{2}; level 2 reduces the partial with {3}.
+    // Level 1 reduces {1}+{2}; level 2 reads that output row in place and
+    // reduces the partial with {3}.
     Rig rig({{1, 2, 3}});
-    const auto l1 = rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
+    const RowRange l1 = rig.run({rig.item({1}, {0})}, {rig.item({2}, {0})});
     ASSERT_EQ(l1.size(), 1u);
-    EXPECT_EQ(rig.residual(l1[0].item, 0), IndexSet({3}));
+    EXPECT_EQ(rig.residual(rig.at(l1, 0), 0), IndexSet({3}));
 
-    const auto l2 = rig.run({l1[0].item}, {rig.item({3}, {0})});
+    const RowRange leaf = rig.table.addInputs(
+        std::vector<Item>{rig.item({3}, {0})});
+    PeActivity activity;
+    const RowRange l2 = rig.run(l1, leaf, activity);
     ASSERT_EQ(l2.size(), 1u);
-    EXPECT_EQ(rig.sets.indexSet(l2[0].item.indices), IndexSet({1, 2, 3}));
-    EXPECT_TRUE(rig.residual(l2[0].item, 0).empty());
-    EXPECT_EQ(l2[0].item.indices, rig.sets.querySet(0));
+    const OutputRef root = rig.at(l2, 0);
+    EXPECT_EQ(rig.sets.indexSet(root.indices), IndexSet({1, 2, 3}));
+    EXPECT_TRUE(rig.residual(root, 0).empty());
+    EXPECT_EQ(root.indices, rig.sets.querySet(0));
+    // Its sources are positions within the parent's inputs.
+    ASSERT_EQ(root.sources.size(), 2u);
+    EXPECT_EQ(root.sources[0], (Provenance{0, 0}));
+    EXPECT_EQ(root.sources[1], (Provenance{1, 0}));
 }
 
 TEST(Pe, OperandOutsideItsQueryFaults)
@@ -265,7 +322,9 @@ TEST(Item, HeaderBitsAccounting)
     Rig rig({{1, 2, 3, 4, 5}, {1, 2, 9}});
     const Item item = rig.item({1, 2}, {0, 1});
     // 2 indices + 4 residual indices at 5 bits each.
-    EXPECT_EQ(item.headerBits(rig.sets, 5), 30u);
+    EXPECT_EQ(headerBits(rig.sets, item.indices,
+                         {item.queries.data(), item.queries.size()}, 5),
+              30u);
 }
 
 TEST(Item, ToStringReadable)

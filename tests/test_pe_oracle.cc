@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <sstream>
 
 #include "dram/address.hh"
@@ -83,7 +84,7 @@ expectSameActivity(const PeActivity &got, const PeActivity &want,
 }
 
 void
-expectSameSources(const SmallVec<Provenance, 2> &got,
+expectSameSources(std::span<const Provenance> got,
                   const std::vector<Provenance> &want,
                   const std::string &where)
 {
@@ -92,23 +93,28 @@ expectSameSources(const SmallVec<Provenance, 2> &got,
         EXPECT_EQ(got[s], want[s]) << where << " source " << s;
 }
 
-/** Header and value of an interned item against a literal one. */
+/** One output row against a literal-header reference output. */
 void
-expectSameItem(const IndexSetTable &sets, const Item &got,
-               const reference::Item &want, const std::string &where)
+expectSameOutput(const IndexSetTable &sets, const OutputTable &table,
+                 std::uint32_t row, const reference::PeOutput &want,
+                 const std::string &where)
 {
-    EXPECT_EQ(sets.indexSet(got.indices), want.indices) << where;
-    ASSERT_EQ(got.queries.size(), want.queries.size()) << where;
-    for (std::size_t i = 0; i < want.queries.size(); ++i) {
-        EXPECT_EQ(got.queries[i], want.queries[i].query) << where;
+    const OutputRef got = table[row];
+    EXPECT_EQ(got.action, want.action) << where;
+    expectSameSources(got.sources, want.sources, where);
+    EXPECT_EQ(sets.indexSet(got.indices), want.item.indices) << where;
+    const auto &queries = want.item.queries;
+    ASSERT_EQ(got.queries.size(), queries.size()) << where;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(got.queries[i], queries[i].query) << where;
         EXPECT_EQ(sets.residual(got.indices, got.queries[i]),
-                  want.queries[i].remaining)
+                  queries[i].remaining)
             << where << " residual " << i;
     }
-    EXPECT_EQ(got.headerBits(sets, kBitsPerIndex),
-              want.headerBits(kBitsPerIndex))
+    EXPECT_EQ(headerBits(sets, got.indices, got.queries, kBitsPerIndex),
+              want.item.headerBits(kBitsPerIndex))
         << where;
-    EXPECT_TRUE(sameBits(got.value, want.value)) << where;
+    EXPECT_TRUE(sameBits(table.value(row), want.item.value)) << where;
 }
 
 std::vector<IndexSet>
@@ -148,15 +154,17 @@ expectPeMatchesReference(IndexSetTable &sets,
         ref_b.push_back(literal(sets, item, query_sets));
     PeActivity want_activity;
     const auto want = reference::process(ref_a, ref_b, want_activity);
+    OutputTable table(/*values=*/true);
+    const RowRange in_a = table.addInputs(a);
+    const RowRange in_b = table.addInputs(b);
+    ProcessingElement pe;
     PeActivity activity;
-    const auto got = ProcessingElement::process(sets, a, b, activity);
+    const RowRange got = pe.process(sets, table, in_a, in_b, activity);
     expectSameActivity(activity, want_activity, "crafted PE");
     ASSERT_EQ(got.size(), want.size());
-    for (std::size_t k = 0; k < got.size(); ++k) {
-        const std::string out = "crafted output " + std::to_string(k);
-        EXPECT_EQ(got[k].action, want[k].action) << out;
-        expectSameSources(got[k].sources, want[k].sources, out);
-        expectSameItem(sets, got[k].item, want[k].item, out);
+    for (std::uint32_t k = 0; k < got.size(); ++k) {
+        expectSameOutput(sets, table, got.begin + k, want[k],
+                         "crafted output " + std::to_string(k));
     }
 }
 
@@ -197,8 +205,11 @@ runCase(const Case &c, PeActivity &swept)
             topology, prepared, query_sets, values, c.op);
         swept += want.total;
 
-        // PE by PE: drive the production PE over the same topology.
+        // PE by PE: drive the production PE over the same topology, each
+        // PE reading its children's rows of one table.
         IndexSetTable sets = prepared.sets;
+        OutputTable table(values);
+        ProcessingElement pe_model;
         const unsigned num_pes = topology.numPes();
         std::vector<std::vector<Item>> side_a(num_pes + 1);
         std::vector<std::vector<Item>> side_b(num_pes + 1);
@@ -209,32 +220,33 @@ runCase(const Case &c, PeActivity &swept)
             for (const auto &read : prepared.rankReads[rank])
                 side.push_back(read.item);
         }
-        std::vector<std::vector<Item>> up(num_pes + 1);
+        std::vector<RowRange> up(num_pes + 1);
         for (unsigned pe = num_pes; pe >= 1; --pe) {
             const std::string where = "round " + std::to_string(round) +
                                       " PE " + std::to_string(pe);
-            const bool leaf = topology.isLeafPe(pe);
-            const auto &a = leaf ? side_a[pe] : up[topology.leftChild(pe)];
-            const auto &b = leaf ? side_b[pe] : up[topology.rightChild(pe)];
+            RowRange a;
+            RowRange b;
+            if (topology.isLeafPe(pe)) {
+                a = table.addInputs(side_a[pe]);
+                b = table.addInputs(side_b[pe]);
+            } else {
+                a = up[topology.leftChild(pe)];
+                b = up[topology.rightChild(pe)];
+            }
             const reference::PeTrace &ref = want.trace[pe];
             ASSERT_EQ(a.size(), ref.inputsA.size()) << where;
             ASSERT_EQ(b.size(), ref.inputsB.size()) << where;
 
             PeActivity activity;
-            std::vector<PeOutput> got = ProcessingElement::process(
-                sets, a, b, activity, values, c.op, nullptr, c.payload);
+            const RowRange got = pe_model.process(sets, table, a, b, activity,
+                                                  c.op, nullptr, c.payload);
             expectSameActivity(activity, ref.activity, where);
             ASSERT_EQ(got.size(), ref.outputs.size()) << where;
-            for (std::size_t k = 0; k < got.size(); ++k) {
-                const std::string out = where + " output " +
-                                        std::to_string(k);
-                EXPECT_EQ(got[k].action, ref.outputs[k].action) << out;
-                expectSameSources(got[k].sources, ref.outputs[k].sources,
-                                  out);
-                expectSameItem(sets, got[k].item, ref.outputs[k].item, out);
+            for (std::uint32_t k = 0; k < got.size(); ++k) {
+                expectSameOutput(sets, table, got.begin + k, ref.outputs[k],
+                                 where + " output " + std::to_string(k));
             }
-            for (auto &out : got)
-                up[pe].push_back(std::move(out.item));
+            up[pe] = got;
             if (pe == 1)
                 break;
         }
@@ -255,24 +267,20 @@ runCase(const Case &c, PeActivity &swept)
             for (std::size_t k = 0; k < ref.outputs.size(); ++k) {
                 const std::string out = where + " output " +
                                         std::to_string(k);
-                EXPECT_EQ(trace.outputs[k].action, ref.outputs[k].action)
-                    << out;
-                expectSameSources(trace.outputs[k].sources,
-                                  ref.outputs[k].sources, out);
+                const OutputRef got = run.output(pe, k);
+                EXPECT_EQ(got.action, ref.outputs[k].action) << out;
+                expectSameSources(got.sources, ref.outputs[k].sources, out);
                 const auto &queries = ref.outputs[k].item.queries;
-                ASSERT_EQ(trace.outputs[k].queries.size(), queries.size())
-                    << out;
+                ASSERT_EQ(got.queries.size(), queries.size()) << out;
                 for (std::size_t i = 0; i < queries.size(); ++i)
-                    EXPECT_EQ(trace.outputs[k].queries[i], queries[i].query)
-                        << out;
+                    EXPECT_EQ(got.queries[i], queries[i].query) << out;
             }
         }
-        ASSERT_EQ(run.rootOutputs.size(), want.rootOutputs.size());
-        for (std::size_t k = 0; k < want.rootOutputs.size(); ++k) {
-            EXPECT_EQ(run.rootOutputs[k].action, want.rootOutputs[k].action);
-            expectSameItem(run.sets, run.rootOutputs[k].item,
-                           want.rootOutputs[k].item,
-                           "root output " + std::to_string(k));
+        ASSERT_EQ(run.root.size(), want.rootOutputs.size());
+        for (std::uint32_t k = 0; k < want.rootOutputs.size(); ++k) {
+            expectSameOutput(run.sets, run.table, run.root.begin + k,
+                             want.rootOutputs[k],
+                             "root output " + std::to_string(k));
         }
         expectSameActivity(run.total, want.total, "tree total");
         EXPECT_EQ(run.rootCombines, want.rootCombines);
@@ -392,4 +400,39 @@ TEST(PeOracle, MergeUnitOnHandBuiltHeaders)
     expectPeMatchesReference(sets, query_sets,
                              {item(1, {0, 0, 1}), item(5, {2})},
                              {item(2, {0, 1}), item(1, {2})});
+}
+
+TEST(PeOracle, KeyedSortFallsBackOnSharedPrefixes)
+{
+    // The merge unit sorts on a key of each set's first two slots and
+    // falls back to full set order on ties. Here four outputs share the
+    // prefix {1, 2} and differ later ({1,2}, {1,2,5}, {1,2,6}, {1,2,7},
+    // produced in reverse of set order), {1,2,6} is formed twice and
+    // merges, and {1} sits beside {1, 2}.
+    const std::vector<IndexSet> query_sets = {
+        {1, 2, 7, 10}, {1, 2, 6}, {1, 2, 5}, {1, 8}, {1, 2, 9},
+        {1, 2, 6, 11}, {1, 2, 3, 12}};
+    IndexSetTable sets({1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12});
+    for (const IndexSet &q : query_sets) {
+        std::vector<std::uint32_t> slots;
+        for (IndexId index : q)
+            slots.push_back(sets.slotOf(index));
+        sets.addQuery(sets.intern(slots));
+    }
+    auto item = [&sets](std::vector<IndexId> indices,
+                        SmallVec<QueryId, 2> queries) {
+        std::vector<std::uint32_t> slots;
+        for (IndexId index : indices)
+            slots.push_back(sets.slotOf(index));
+        Item it;
+        it.indices = sets.intern(slots);
+        it.queries = std::move(queries);
+        it.value = {static_cast<float>(indices.back()), 0.25f};
+        return it;
+    };
+    expectPeMatchesReference(
+        sets, query_sets,
+        {item({1, 2}, {0, 1, 2, 4, 5}), item({1}, {3}),
+         item({1, 2, 3}, {6})},
+        {item({7}, {0}), item({6}, {1, 5}), item({5}, {2})});
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dram/memsystem.hh"
 #include "embedding/generator.hh"
 #include "embedding/layout.hh"
@@ -88,25 +90,38 @@ TEST(VectorPool, PooledPeOutputsBitIdentical)
     std::vector<Item> b;
     makeInputs(sets, a, b, 33); // odd length: no convenient vector width
 
+    ProcessingElement pe;
+    OutputTable plain(/*values=*/true);
     PeActivity plain_activity;
-    const auto plain = ProcessingElement::process(
-        sets, a, b, plain_activity, true, ReduceOp::Sum, nullptr);
+    const RowRange plain_out =
+        pe.process(sets, plain, plain.addInputs(a), plain.addInputs(b),
+                   plain_activity, ReduceOp::Sum, nullptr);
 
     VectorPool pool;
     PeActivity pooled_activity;
     // Two rounds so round two actually reuses round one's buffers.
     for (int round = 0; round < 2; ++round) {
-        auto pooled = ProcessingElement::process(
-            sets, a, b, pooled_activity, true, ReduceOp::Sum, &pool);
-        ASSERT_EQ(pooled.size(), plain.size());
-        for (std::size_t i = 0; i < plain.size(); ++i) {
-            EXPECT_EQ(pooled[i].item.indices, plain[i].item.indices);
-            EXPECT_EQ(pooled[i].item.queries, plain[i].item.queries);
-            EXPECT_EQ(pooled[i].item.value, plain[i].item.value);
-            EXPECT_EQ(pooled[i].action, plain[i].action);
+        OutputTable pooled(/*values=*/true);
+        const RowRange in_a = pooled.addInputs(a, &pool);
+        const RowRange in_b = pooled.addInputs(b, &pool);
+        const RowRange out = pe.process(sets, pooled, in_a, in_b,
+                                        pooled_activity, ReduceOp::Sum,
+                                        &pool);
+        ASSERT_EQ(out.size(), plain_out.size());
+        for (std::uint32_t k = 0; k < plain_out.size(); ++k) {
+            const OutputRef got = pooled[out.begin + k];
+            const OutputRef want = plain[plain_out.begin + k];
+            EXPECT_EQ(got.indices, want.indices);
+            EXPECT_TRUE(std::equal(got.queries.begin(), got.queries.end(),
+                                   want.queries.begin(),
+                                   want.queries.end()));
+            EXPECT_EQ(pooled.value(out.begin + k),
+                      plain.value(plain_out.begin + k));
+            EXPECT_EQ(got.action, want.action);
         }
-        for (auto &out : pooled)
-            pool.release(std::move(out.item.value));
+        pooled.releaseValues(in_a, pool);
+        pooled.releaseValues(in_b, pool);
+        pooled.releaseValues(out, pool);
     }
     EXPECT_GT(pool.stats().reuses, 0u);
 }
