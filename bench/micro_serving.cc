@@ -18,7 +18,8 @@
  *    (floor: 2.5x).
  *
  *  - Simulated offered-load capacity (batches/sec of simulated time)
- *    of the pipelined front-end at 1, 2, 4, and 8 engine replicas.
+ *    of the serving tier at one shard of 1, 2, 4, and 8 engine
+ *    replicas, and at 2x1, 2x2 and 4x2 shards x replicas.
  *    `replica_scaling_speedup` = capacity(4) / capacity(1) is the
  *    gated ratio (floor: 2x); the 8-replica point runs twice — with 8
  *    modeled prepare workers and with 1 — so
@@ -170,53 +171,34 @@ modeledPrepareRate(const std::vector<embedding::Batch> &batches,
             static_cast<double>(kTicksPerSec));
 }
 
-/** Simulated capacity (batches per simulated second) at @p engines
- *  with @p prepare_workers modeled host prepare workers. */
-double
-benchCapacity(const std::vector<embedding::Batch> &batches,
-              unsigned engines, unsigned prepare_workers)
-{
-    ReplicaMemoryConfig mem;
-    EventEngineConfig ecfg;
-    std::vector<EngineReplica> replicas =
-        makeEventReplicas(engines, mem, tableConfig(), ecfg, nullptr);
-
-    ServingConfig sc;
-    sc.engines = engines;
-    // Depth must scale with the replica count or the in-flight cap
-    // (depth batches) starves engines beyond the second.
-    sc.pipelineDepth = 2 * engines;
-    sc.prepareWorkers = prepare_workers;
-    ServingPipeline pipeline(sc, replicas, nullptr);
-    const PipelineReport report = pipeline.serve(batches, 0);
-    return report.requestsPerSecond();
-}
-
 /**
- * Simulated capacity (batches per simulated second) of the sharded
- * tier at @p shards shards x @p replicas_per_shard replicas (hash
- * placement). Timing-only engines (no store), same depth rule as
- * benchCapacity per shard — the sharded points sit directly next to
- * the single-store replica sweep in the report.
+ * Simulated capacity (batches per simulated second) of the serving tier
+ * at @p shards shards x @p replicas engine replicas per shard (hash
+ * placement) with @p prepare_workers modeled host prepare workers.
+ * Timing-only engines (no store). One shard is the plain pipeline, so
+ * the sharded points sit directly next to the single-store replica
+ * sweep in the report.
  */
 double
-benchShardCapacity(const std::vector<embedding::Batch> &batches,
-                   unsigned shards, unsigned replicas_per_shard)
+benchCapacity(const std::vector<embedding::Batch> &batches,
+              unsigned shards, unsigned replicas,
+              unsigned prepare_workers = 1)
 {
     ReplicaMemoryConfig mem;
     EventEngineConfig ecfg;
-    std::vector<std::vector<EngineReplica>> groups =
-        makeShardReplicas(shards, replicas_per_shard, mem, tableConfig(),
-                          ecfg, nullptr);
+    std::vector<std::vector<EngineReplica>> groups = makeShardReplicas(
+        shards, replicas, mem, tableConfig(), ecfg, nullptr);
 
     ShardTierConfig tc;
     tc.shards = shards;
     tc.placement = PlacementPolicy::Hash;
-    tc.serving.engines = replicas_per_shard;
-    tc.serving.pipelineDepth = 2 * replicas_per_shard;
+    tc.serving.engines = replicas;
+    // Depth must scale with the replica count or the in-flight cap
+    // (depth batches) starves engines beyond the second.
+    tc.serving.pipelineDepth = 2 * replicas;
+    tc.serving.prepareWorkers = prepare_workers;
     ShardedServingTier tier(tc, groups, nullptr);
-    const ShardedReport report = tier.serve(batches, 0);
-    return report.requestsPerSecond();
+    return tier.serve(batches, 0).requestsPerSecond();
 }
 
 /**
@@ -295,7 +277,7 @@ main(int argc, char **argv)
     unsigned batches = 24;
     unsigned batch_size = 32;
     unsigned query_size = 24;
-    std::uint64_t prepare_iters = 200;
+    std::uint64_t prepare_iters = 20;
     unsigned capacity_batches = 48;
     unsigned reps = 10;
     std::string arrivals_pattern = "burst";
@@ -359,14 +341,21 @@ main(int argc, char **argv)
     Instruments quiet = instruments();
     quiet.series = nullptr;
     quiet.slo = nullptr;
+    // Sharded points (simulated time, deterministic, gated): 2x1 splits
+    // the same engine count as the 2-engine single-store point across
+    // two stores; 4x2 is the 8-engine budget as four 2-replica shards.
     double cap1, cap2, cap4, cap8, cap8_serial;
+    double shard_cap_2x1, shard_cap_2x2, shard_cap_4x2;
     {
         ScopedInstruments install(quiet);
         cap1 = benchCapacity(capacity_set, 1, 1);
-        cap2 = benchCapacity(capacity_set, 2, 1);
-        cap4 = benchCapacity(capacity_set, 4, 1);
-        cap8 = benchCapacity(capacity_set, 8, 8);
-        cap8_serial = benchCapacity(capacity_set, 8, 1);
+        cap2 = benchCapacity(capacity_set, 1, 2);
+        cap4 = benchCapacity(capacity_set, 1, 4);
+        cap8 = benchCapacity(capacity_set, 1, 8, 8);
+        cap8_serial = benchCapacity(capacity_set, 1, 8);
+        shard_cap_2x1 = benchCapacity(capacity_set, 2, 1);
+        shard_cap_2x2 = benchCapacity(capacity_set, 2, 2);
+        shard_cap_4x2 = benchCapacity(capacity_set, 4, 2);
     }
 
     // The same two-engine capacity point with a flight recorder
@@ -380,7 +369,7 @@ main(int argc, char **argv)
         Instruments recording = quiet;
         recording.recorder = &recorder;
         ScopedInstruments install(recording);
-        cap2_rec = benchCapacity(capacity_set, 2, 1);
+        cap2_rec = benchCapacity(capacity_set, 1, 2);
 #ifndef FAFNIR_FLIGHTREC_COMPILED_OUT
         FAFNIR_ASSERT(recorder.totalRecorded() > 0,
                       "recorder saw no serving records");
@@ -388,18 +377,6 @@ main(int argc, char **argv)
     }
     FAFNIR_ASSERT(cap2_rec == cap2,
                   "flight recorder perturbed simulated serving time");
-
-    // Sharded-tier capacity at shards x replicas points (simulated
-    // time, deterministic, gated). 2x1 splits the same engine count as
-    // the 2-engine single-store point across two stores; 4x2 is the
-    // 8-engine budget as four 2-replica shards.
-    double shard_cap_2x1, shard_cap_2x2, shard_cap_4x2;
-    {
-        ScopedInstruments install(quiet);
-        shard_cap_2x1 = benchShardCapacity(capacity_set, 2, 1);
-        shard_cap_2x2 = benchShardCapacity(capacity_set, 2, 2);
-        shard_cap_4x2 = benchShardCapacity(capacity_set, 4, 2);
-    }
 
     // Quantized-transport byte model through the same two-replica
     // pipeline: fp32 vs int8 payload bytes over PE links and DRAM

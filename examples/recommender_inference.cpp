@@ -171,10 +171,14 @@ main()
 
         const auto inter =
             static_cast<Tick>(1e12 / req_per_sec); // ps between arrivals
-        const auto report = embedding::serveOpenLoop(
-            stream, inter, [&](const embedding::Batch &batch, Tick at) {
-                return engine.lookup(batch, at).complete;
+        embedding::ServiceGuard guard(
+            embedding::GuardConfig{},
+            [&](const embedding::Batch &batch, Tick at) {
+                return embedding::ServeSample{
+                    engine.lookup(batch, at).complete, {}};
             });
+        const auto report =
+            embedding::serveGuardedOpenLoop(stream, inter, guard);
         std::printf("%14.0f %14.1f %14.1f %12s\n", req_per_sec,
                     static_cast<double>(report.percentileTotal(0.5)) /
                         kTicksPerUs,

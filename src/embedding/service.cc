@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the open-loop serving model.
+ * Implementation of the guarded open-loop serving model.
  */
 
 #include "service.hh"
@@ -11,103 +11,12 @@
 #include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "telemetry/flightrec.hh"
-#include "telemetry/attribution.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace fafnir::embedding
 {
-
-Tick
-ServiceReport::percentileTotal(double p) const
-{
-    FAFNIR_ASSERT(!requests.empty(), "empty report");
-    FAFNIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
-    std::vector<Tick> totals;
-    totals.reserve(requests.size());
-    for (const auto &r : requests)
-        totals.push_back(r.totalTime());
-    std::sort(totals.begin(), totals.end());
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(totals.size() - 1));
-    return totals[idx];
-}
-
-double
-ServiceReport::meanQueueTicks() const
-{
-    if (requests.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : requests)
-        sum += static_cast<double>(r.queueTime());
-    return sum / static_cast<double>(requests.size());
-}
-
-ServiceReport
-serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
-              const std::function<Tick(const Batch &, Tick)> &serve)
-{
-    FAFNIR_ASSERT(inter_arrival > 0, "zero inter-arrival time");
-
-    ServiceReport report;
-    report.requests.reserve(batches.size());
-    if (auto *ts = instruments().trace) {
-        ts->setThreadName(telemetry::kPidService, 0, "queue");
-        ts->setThreadName(telemetry::kPidService, 1, "serve");
-    }
-    Tick engine_free = 0;
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-        ServedRequest request;
-        request.arrival = static_cast<Tick>(i) * inter_arrival;
-        request.started = std::max(request.arrival, engine_free);
-        request.completed = serve(batches[i], request.started);
-        FAFNIR_ASSERT(request.completed >= request.started,
-                      "service went backwards");
-        engine_free = request.completed;
-        if (auto *ts = instruments().trace) {
-            // Queueing and service phases of each batch as stacked spans,
-            // joined by a flow arrow when the batch actually queued.
-            const std::string label = "batch " + std::to_string(i);
-            if (request.queueTime() > 0) {
-                ts->completeEvent(telemetry::kPidService, 0,
-                                  "service.queue", label + " (queued)",
-                                  request.arrival, request.queueTime());
-            }
-            ts->completeEvent(telemetry::kPidService, 1, "service.serve",
-                              label, request.started,
-                              request.serviceTime());
-            if (request.queueTime() > 0) {
-                const std::uint64_t fid = ts->newFlowId();
-                ts->flowBegin(fid, telemetry::kPidService, 0,
-                              "service.flow", label, request.arrival);
-                ts->flowEnd(fid, telemetry::kPidService, 1,
-                            "service.flow", label, request.started);
-            }
-        }
-        if (auto *attr = instruments().attribution)
-            attr->recordBatchQueueWait(request.queueTime());
-        report.requests.push_back(request);
-    }
-
-    // Saturated when the queue delay keeps growing through the run:
-    // compare mean queueing of the last quarter against the first.
-    const std::size_t n = report.requests.size();
-    if (n >= 8) {
-        auto mean_queue = [&](std::size_t lo, std::size_t hi) {
-            double sum = 0.0;
-            for (std::size_t i = lo; i < hi; ++i)
-                sum += static_cast<double>(
-                    report.requests[i].queueTime());
-            return sum / static_cast<double>(hi - lo);
-        };
-        const double head = mean_queue(0, n / 4);
-        const double tail = mean_queue(n - n / 4, n);
-        report.saturated = tail > 2.0 * head + 1000.0;
-    }
-    return report;
-}
 
 const char *
 toString(DegradeReason reason)
@@ -440,6 +349,21 @@ GuardedReport::partialRequests() const
     return total;
 }
 
+Tick
+GuardedReport::percentileTotal(double p) const
+{
+    FAFNIR_ASSERT(!requests.empty(), "empty report");
+    FAFNIR_ASSERT(p >= 0.0 && p <= 1.0, "percentile out of range");
+    std::vector<Tick> totals;
+    totals.reserve(requests.size());
+    for (const auto &r : requests)
+        totals.push_back(r.totalTime());
+    std::sort(totals.begin(), totals.end());
+    const auto idx = static_cast<std::size_t>(
+        p * static_cast<double>(totals.size() - 1));
+    return totals[idx];
+}
+
 GuardedReport
 serveGuardedOpenLoop(const std::vector<Batch> &batches,
                      Tick inter_arrival, ServiceGuard &guard)
@@ -451,6 +375,22 @@ serveGuardedOpenLoop(const std::vector<Batch> &batches,
     for (std::size_t i = 0; i < batches.size(); ++i) {
         report.requests.push_back(
             guard.serve(batches[i], static_cast<Tick>(i) * inter_arrival));
+    }
+
+    // Saturated when the queue delay keeps growing through the run:
+    // compare mean queueing of the last quarter against the first.
+    const std::size_t n = report.requests.size();
+    if (n >= 8) {
+        auto mean_queue = [&](std::size_t lo, std::size_t hi) {
+            double sum = 0.0;
+            for (std::size_t i = lo; i < hi; ++i)
+                sum += static_cast<double>(
+                    report.requests[i].queueTime());
+            return sum / static_cast<double>(hi - lo);
+        };
+        const double head = mean_queue(0, n / 4);
+        const double tail = mean_queue(n - n / 4, n);
+        report.saturated = tail > 2.0 * head + 1000.0;
     }
     return report;
 }

@@ -1,25 +1,27 @@
 /**
  * @file
- * Open-loop serving model and the guarded serving layer.
+ * The guarded open-loop serving model.
  *
  * Production recommenders care about tail latency under a given request
- * rate, not only isolated batch latency. serveOpenLoop() feeds a batch
- * stream at fixed inter-arrival times into any lookup engine (via an
- * adapter callback) and returns a ServiceReport of queueing + service
+ * rate, not only isolated batch latency. serveGuardedOpenLoop() feeds a
+ * batch stream at fixed inter-arrival times into any lookup engine (via
+ * an adapter callback) and returns a GuardedReport of queueing + service
  * latency percentiles and the saturation point. Requests are admitted in
  * arrival order; the engine serializes service (one batch in flight),
  * which models the paper's single accelerator front-end.
  *
- * serveGuardedOpenLoop() serves the same stream through a ServiceGuard,
- * which wraps the adapter with the robustness contract the
- * fault-injection layer exercises: untrusted batches pass admission
- * checks (Batch::validate), served queries get per-query deadlines
- * measured from arrival, transient faults and deadline misses trigger
- * bounded retries with exponential backoff, and whatever still cannot
- * be served is returned as an explicitly tagged partial result — the
- * guard never silently drops or silently corrupts a query. Every
- * recovery action lands in counters (registerStats) and TraceSink
- * instants so --report shows fault/retry/timeout totals.
+ * Every request passes through a ServiceGuard, which wraps the adapter
+ * with the robustness contract the fault-injection layer exercises:
+ * untrusted batches pass admission checks (Batch::validate), served
+ * queries get per-query deadlines measured from arrival, transient
+ * faults and deadline misses trigger bounded retries with exponential
+ * backoff, and whatever still cannot be served is returned as an
+ * explicitly tagged partial result — the guard never silently drops or
+ * silently corrupts a query. With a default GuardConfig and no fault
+ * plan installed, the guard makes exactly one attempt per request at
+ * max(arrival, engine free): the plain open-loop queue. Every recovery
+ * action lands in counters (registerStats) and TraceSink instants so
+ * --report shows fault/retry/timeout totals.
  */
 
 #ifndef FAFNIR_EMBEDDING_SERVICE_HH
@@ -35,53 +37,6 @@
 
 namespace fafnir::embedding
 {
-
-/** Latency record of one served request. */
-struct ServedRequest
-{
-    Tick arrival = 0;
-    Tick started = 0;
-    Tick completed = 0;
-
-    Tick queueTime() const { return started - arrival; }
-    Tick serviceTime() const { return completed - started; }
-    Tick totalTime() const { return completed - arrival; }
-};
-
-/** Aggregate service statistics. */
-struct ServiceReport
-{
-    std::vector<ServedRequest> requests;
-    /**
-     * True when the backlog grew through the run, i.e. offered load
-     * exceeded engine capacity. The heuristic compares the mean
-     * queueing delay of the last quarter of requests against the first
-     * quarter and trips when
-     *
-     *     tail > 2.0 * head + 1000 ticks
-     *
-     * The 2x factor demands sustained growth (a stable queue's head and
-     * tail means agree; an unstable one grows linearly, so the tail
-     * quarter sits far above the head quarter), and the 1000-tick (1 ns)
-     * offset keeps a zero-queue run — head == tail == 0 — and other
-     * sub-nanosecond jitter from tripping the gate. Runs shorter than 8
-     * requests never report saturation: the quarters are too small to
-     * distinguish trend from noise.
-     */
-    bool saturated = false;
-
-    Tick percentileTotal(double p) const;
-    double meanQueueTicks() const;
-};
-
-/**
- * Serve @p batches with arrivals every @p inter_arrival ticks.
- * @param serve runs one batch starting no earlier than the given tick
- *        and returns its completion tick; invoked in arrival order.
- */
-ServiceReport
-serveOpenLoop(const std::vector<Batch> &batches, Tick inter_arrival,
-              const std::function<Tick(const Batch &, Tick)> &serve);
 
 /** Why a request, or one of its queries, was degraded. */
 enum class DegradeReason : std::uint8_t
@@ -116,8 +71,11 @@ struct QueryOutcome
 };
 
 /** Latency plus degradation record of one guarded request. */
-struct GuardedRequest : ServedRequest
+struct GuardedRequest
 {
+    Tick arrival = 0;
+    Tick started = 0;
+    Tick completed = 0;
     /** Serving attempts made (0 when every query failed admission). */
     unsigned attempts = 0;
     std::size_t servedQueries = 0;
@@ -127,6 +85,9 @@ struct GuardedRequest : ServedRequest
     /** One entry per submitted query, in batch position order. */
     std::vector<QueryOutcome> outcomes;
 
+    Tick queueTime() const { return started - arrival; }
+    Tick serviceTime() const { return completed - started; }
+    Tick totalTime() const { return completed - arrival; }
     /** True when the response is missing at least one query. */
     bool partial() const { return droppedQueries > 0; }
 };
@@ -225,15 +186,34 @@ class ServiceGuard
 struct GuardedReport
 {
     std::vector<GuardedRequest> requests;
+    /**
+     * True when the backlog grew through the run, i.e. offered load
+     * exceeded engine capacity. The heuristic compares the mean
+     * queueing delay of the last quarter of requests against the first
+     * quarter and trips when
+     *
+     *     tail > 2.0 * head + 1000 ticks
+     *
+     * The 2x factor demands sustained growth (a stable queue's head and
+     * tail means agree; an unstable one grows linearly, so the tail
+     * quarter sits far above the head quarter), and the 1000-tick (1 ns)
+     * offset keeps a zero-queue run — head == tail == 0 — and other
+     * sub-nanosecond jitter from tripping the gate. Runs shorter than 8
+     * requests never report saturation: the quarters are too small to
+     * distinguish trend from noise.
+     */
+    bool saturated = false;
+
+    /** The @p p quantile (0..1) of arrival-to-completion latency. */
+    Tick percentileTotal(double p) const;
 
     std::size_t servedQueries() const;
     std::size_t droppedQueries() const;
     std::size_t partialRequests() const;
 };
 
-/** serveOpenLoop through a ServiceGuard: arrivals every
- *  @p inter_arrival ticks (0 = closed loop, all arrive at tick 0),
- *  each request guarded by @p guard. */
+/** Serve @p batches through @p guard with arrivals every
+ *  @p inter_arrival ticks (0 = closed loop, all arrive at tick 0). */
 GuardedReport
 serveGuardedOpenLoop(const std::vector<Batch> &batches,
                      Tick inter_arrival, ServiceGuard &guard);

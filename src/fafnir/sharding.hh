@@ -278,6 +278,8 @@ class ShardedServingTier
                         const std::vector<Tick> &arrivals);
 
     const ShardTierConfig &config() const { return config_; }
+    /** Shard @p shard's pipeline (its counters and health board). */
+    ServingPipeline &pipeline(unsigned shard) { return *pipelines_[shard]; }
     ShardRouter &router() { return router_; }
     const ShardRouter &router() const { return router_; }
 

@@ -6,7 +6,8 @@
  * hedging on — the placement is always a partition of the table space,
  * the rebalance plan is a pure function of the observed load, and the
  * 8-component attribution split stays exact through the cross-shard
- * combine stage.
+ * combine stage. A one-shard tier is the plain ServingPipeline tick for
+ * tick.
  */
 
 #include <gtest/gtest.h>
@@ -376,4 +377,85 @@ TEST(ShardedTier, ReportAccountsLoadAndCrossShardQueries)
             EXPECT_GT(trace.combineDone, trace.shardsDone);
     }
     EXPECT_GT(report.combineBusy, 0u);
+}
+
+TEST(ShardedTier, OneShardIsThePipelineTickForTick)
+{
+    // fafnir_sim serves every --serve-engines run through a one-shard
+    // tier, so that tier must be the plain ServingPipeline on the same
+    // stream: same ticks per batch, same hedges, same engine load and
+    // the same served bits, at every replica count, depth, hedge
+    // setting and payload format.
+    EmbeddingStore store(smallTables());
+    auto batches = makeBatches(16, 8, 12, 71);
+    const auto big = makeBatches(4, 32, 48, 72);
+    batches.insert(batches.begin() + 10, big.begin(), big.end());
+    unsigned hedged_configs = 0;
+    for (unsigned engines : {1u, 2u, 4u}) {
+        for (unsigned depth : {1u, 2u, 8u}) {
+            for (double hedge : {0.0, 90.0}) {
+                for (PayloadFormat payload :
+                     {PayloadFormat::Fp32, PayloadFormat::Int8}) {
+                    SCOPED_TRACE("engines=" + std::to_string(engines) +
+                                 " depth=" + std::to_string(depth) +
+                                 " hedge=" + std::to_string(hedge) +
+                                 " payload=" +
+                                 payloadFormatName(payload));
+                    ServingConfig sc;
+                    sc.engines = engines;
+                    sc.pipelineDepth = depth;
+                    sc.hedgePct = hedge;
+                    sc.payload = payload;
+                    const EventEngineConfig ecfg =
+                        valueConfig(ReduceOp::Sum);
+
+                    auto replicas = makeEventReplicas(
+                        engines, {}, smallTables(), ecfg, &store);
+                    ServingPipeline pipeline(sc, replicas, &store);
+                    const PipelineReport want =
+                        pipeline.serve(batches, 500 * kTicksPerNs);
+
+                    auto groups = makeShardReplicas(
+                        1, engines, {}, smallTables(), ecfg, &store);
+                    ShardTierConfig tc;
+                    tc.shards = 1;
+                    tc.serving = sc;
+                    ShardedServingTier tier(tc, groups, &store);
+                    const ShardedReport got =
+                        tier.serve(batches, 500 * kTicksPerNs);
+
+                    ASSERT_EQ(got.perShard.size(), 1u);
+                    const PipelineReport &shard = got.perShard[0];
+                    ASSERT_EQ(want.batches.size(), batches.size());
+                    ASSERT_EQ(shard.batches.size(), batches.size());
+                    ASSERT_EQ(got.batches.size(), batches.size());
+                    EXPECT_EQ(got.makespan, want.makespan);
+                    EXPECT_EQ(shard.hedgesIssued, want.hedgesIssued);
+                    EXPECT_EQ(shard.hedgesWon, want.hedgesWon);
+                    EXPECT_EQ(shard.batchesPerEngine,
+                              want.batchesPerEngine);
+                    hedged_configs += want.hedgesIssued > 0;
+                    for (std::size_t k = 0; k < batches.size(); ++k) {
+                        const ServedBatchTrace &w = want.batches[k];
+                        const ServedBatchTrace &s = shard.batches[k];
+                        const ShardedBatchTrace &t = got.batches[k];
+                        EXPECT_EQ(t.arrival, w.arrival) << "batch " << k;
+                        EXPECT_EQ(s.started, w.started) << "batch " << k;
+                        EXPECT_EQ(s.complete, w.complete)
+                            << "batch " << k;
+                        EXPECT_EQ(s.done, w.done) << "batch " << k;
+                        EXPECT_EQ(t.combineDone, w.done) << "batch " << k;
+                        ASSERT_EQ(t.results.size(), batches[k].size());
+                        ASSERT_EQ(w.timing.results.size(),
+                                  batches[k].size());
+                        for (std::size_t q = 0; q < t.results.size(); ++q)
+                            EXPECT_TRUE(bitIdentical(
+                                t.results[q], w.timing.results[q]))
+                                << "batch " << k << " query " << q;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(hedged_configs, 0u) << "no configuration hedged";
 }

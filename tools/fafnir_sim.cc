@@ -19,11 +19,12 @@
  *   --report=run.json       per-run report artifact (config + metrics)
  *
  * Serving (lookup mode, --engine=event; see docs/PERFORMANCE.md):
- *   --serve-engines=4       pipelined serving over 4 engine replicas
- *                           (--pipeline-depth, --dispatch, --hedge-pct,
- *                           --prepare-workers)
- *   --shards=2              sharded serving tier (--placement,
- *                           --shard-replicas)
+ *   --serve-engines=4       serve through the tier: 4 pipelined engine
+ *                           replicas per shard (--pipeline-depth,
+ *                           --dispatch, --hedge-pct, --prepare-workers)
+ *   --shards=2              place tables onto 2 shards of the tier
+ *                           (--placement); every served vector is
+ *                           checked against the single-store reference
  *   --payload=int8          quantized transport: fp32 | int8 | twobit
  *                           (any lookup engine tree; --payload-accuracy
  *                           writes the accuracy report)
@@ -31,8 +32,9 @@
  * Fault injection (see docs/ROBUSTNESS.md):
  *   --faults=dram_latency:0.1,event_delay:0.05   install a fault plan
  *   --fault-seed=7          deterministic fault-schedule seed
- * With a plan installed, lookup mode serves through the hardened
- * ServiceGuard (--deadline-us, --max-attempts, --retry-backoff-ns).
+ * With a plan installed, lookup mode serves one engine through the
+ * hardened ServiceGuard (--deadline-us, --max-attempts,
+ * --retry-backoff-ns); the serving flags are rejected there.
  */
 
 #include <algorithm>
@@ -42,7 +44,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "baselines/cpu.hh"
 #include "baselines/recnmp.hh"
@@ -100,8 +105,8 @@ struct Options
     unsigned nodes = 1u << 14;
     unsigned reach = 64;
     double nnzPerRow = 8.0;
-    // Serving knobs: --serve-engines > 0 selects the pipelined path,
-    // --shards > 0 the sharded tier.
+    // Serving knobs: --serve-engines > 0 or --shards > 0 selects the
+    // served path through the tier.
     unsigned serveEngines = 0;
     unsigned pipelineDepth = 2;
     /** Modeled host prepare workers (a cost-model parameter, not
@@ -111,7 +116,6 @@ struct Options
     double hedgePct = 0.0;
     unsigned shards = 0;
     std::string placement = "hash";
-    unsigned shardReplicas = 1;
     std::string payloadName = "fp32";
     std::string payloadAccuracy;
     // Parsed from --payload after flag parsing (see main).
@@ -153,26 +157,6 @@ makeBatches(const Options &opt, const embedding::TableConfig &tables)
     for (unsigned i = 0; i < opt.batches; ++i)
         batches.push_back(gen.next());
     return batches;
-}
-
-/** The ServingConfig fields both serving paths take from the flags:
- *  depth, --dispatch, --hedge-pct, the modeled --prepare-workers, and
- *  the lookup mode's dedup/payload. */
-void
-applyServingOptions(const Options &opt, core::ServingConfig &sc)
-{
-    sc.pipelineDepth = opt.pipelineDepth;
-    sc.hedgePct = opt.hedgePct;
-    sc.dedup = opt.dedup;
-    sc.payload = opt.payload;
-    sc.prepareWorkers = std::max(1u, opt.prepareWorkers);
-    if (opt.dispatch == "least-loaded")
-        sc.dispatch = core::DispatchPolicy::LeastLoaded;
-    else if (opt.dispatch == "round-robin")
-        sc.dispatch = core::DispatchPolicy::RoundRobin;
-    else
-        FAFNIR_FATAL("unknown --dispatch '", opt.dispatch,
-                     "' (expected least-loaded or round-robin)");
 }
 
 /** Payload bytes and codec work summed over served batches, and the
@@ -234,15 +218,98 @@ quantizedReduce(const embedding::EmbeddingStore &store,
     return acc;
 }
 
+/** The engine --engine names; makeLookupEngine builds exactly one. */
+using LookupEngine =
+    std::variant<std::unique_ptr<core::FafnirEngine>,
+                 std::unique_ptr<core::EventDrivenEngine>,
+                 std::unique_ptr<baselines::CpuEngine>,
+                 std::unique_ptr<baselines::RecNmpEngine>,
+                 std::unique_ptr<baselines::TensorDimmEngine>>;
+
+/**
+ * Build the --engine lookup engine over @p memory. The event engine
+ * computes real values from @p store when one is given. An unknown
+ * name prints the usage error and yields nullopt.
+ */
+std::optional<LookupEngine>
+makeLookupEngine(const Options &opt, dram::MemorySystem &memory,
+                 const embedding::VectorLayout &layout,
+                 const embedding::TableConfig &tables,
+                 const embedding::EmbeddingStore *store)
+{
+    core::EngineConfig cfg;
+    cfg.dedup = opt.dedup;
+    cfg.interactive = opt.interactive;
+    cfg.payload = opt.payload;
+    if (opt.engine == "analytic")
+        return std::make_unique<core::FafnirEngine>(memory, layout, cfg);
+    if (opt.engine == "event") {
+        core::EventEngineConfig ecfg;
+        ecfg.base = cfg;
+        ecfg.computeValues = store != nullptr;
+        return std::make_unique<core::EventDrivenEngine>(memory, layout,
+                                                         ecfg, store);
+    }
+    if (opt.engine == "cpu")
+        return std::make_unique<baselines::CpuEngine>(memory, layout);
+    if (opt.engine == "recnmp") {
+        baselines::RecNmpConfig rcfg;
+        rcfg.cacheEnabled = true;
+        return std::make_unique<baselines::RecNmpEngine>(memory, layout,
+                                                         rcfg);
+    }
+    if (opt.engine == "tensordimm")
+        return std::make_unique<baselines::TensorDimmEngine>(memory,
+                                                             tables);
+    std::fprintf(stderr, "error: unknown --engine '%s'\n"
+                         "run with --help for usage\n",
+                 opt.engine.c_str());
+    return std::nullopt;
+}
+
+/** Export the event engine's per-PE counters as the `tree` group. */
+void
+registerEngineStats(LookupEngine &engine, StatRegistry &registry)
+{
+    if (auto *event =
+            std::get_if<std::unique_ptr<core::EventDrivenEngine>>(&engine))
+        (*event)->registerStats(registry.group("tree"));
+}
+
 /**
  * Lookup serving under an installed fault plan: the batch stream is
  * corrupted by whatever query hooks are armed, then served through a
  * ServiceGuard so faults surface as retries, timeouts, and tagged
  * partial results instead of wrong numbers (see docs/ROBUSTNESS.md).
+ * The guard serves one engine at a time, so the serving flags, which
+ * shape the tier, are rejected rather than silently ignored.
  */
 int
 runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 {
+    const Options defaults;
+    std::string ignored;
+    auto note = [&ignored](bool set, const char *flag) {
+        if (set)
+            ignored += std::string(ignored.empty() ? "" : ", ") + flag;
+    };
+    note(opt.serveEngines != defaults.serveEngines, "--serve-engines");
+    note(opt.shards != defaults.shards, "--shards");
+    note(opt.pipelineDepth != defaults.pipelineDepth, "--pipeline-depth");
+    note(opt.prepareWorkers != defaults.prepareWorkers,
+         "--prepare-workers");
+    note(opt.dispatch != defaults.dispatch, "--dispatch");
+    note(opt.hedgePct != defaults.hedgePct, "--hedge-pct");
+    note(opt.placement != defaults.placement, "--placement");
+    if (!ignored.empty()) {
+        std::fprintf(stderr,
+                     "error: --faults serves a single engine through the "
+                     "guard, which would ignore %s\n"
+                     "run with --help for usage\n",
+                     ignored.c_str());
+        return 2;
+    }
+
     telemetry::RunReport &run = session.report();
     EventQueue eq;
     const core::ReplicaMemoryConfig mem = memoryConfig(opt);
@@ -259,68 +326,19 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
         corrupted +=
             embedding::injectQueryFaults(batch, tables.totalVectors());
 
-    std::unique_ptr<core::FafnirEngine> analytic;
-    std::unique_ptr<core::EventDrivenEngine> event_engine;
-    std::unique_ptr<baselines::CpuEngine> cpu;
-    std::unique_ptr<baselines::RecNmpEngine> recnmp;
-    std::unique_ptr<baselines::TensorDimmEngine> tensordimm;
-    embedding::ServiceGuard::ServeFn serve;
-
-    auto sample_of = [](const auto &t) {
-        embedding::ServeSample s;
-        s.complete = t.complete;
-        s.queryComplete = t.queryComplete;
-        return s;
-    };
-
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        core::EngineConfig cfg;
-        cfg.dedup = opt.dedup;
-        cfg.interactive = opt.interactive;
-        cfg.payload = opt.payload;
-        if (opt.engine == "event") {
-            core::EventEngineConfig ecfg;
-            ecfg.base = cfg;
-            event_engine = std::make_unique<core::EventDrivenEngine>(
-                memory, layout, ecfg);
-            serve = [&event_engine,
-                     sample_of](const embedding::Batch &b, Tick at) {
-                return sample_of(event_engine->lookup(b, at));
-            };
-        } else {
-            analytic = std::make_unique<core::FafnirEngine>(memory,
-                                                            layout, cfg);
-            serve = [&analytic,
-                     sample_of](const embedding::Batch &b, Tick at) {
-                return sample_of(analytic->lookup(b, at));
-            };
-        }
-    } else if (opt.engine == "cpu") {
-        cpu = std::make_unique<baselines::CpuEngine>(memory, layout);
-        serve = [&cpu, sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(cpu->lookup(b, at));
-        };
-    } else if (opt.engine == "recnmp") {
-        baselines::RecNmpConfig cfg;
-        cfg.cacheEnabled = true;
-        recnmp = std::make_unique<baselines::RecNmpEngine>(memory, layout,
-                                                           cfg);
-        serve = [&recnmp, sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(recnmp->lookup(b, at));
-        };
-    } else if (opt.engine == "tensordimm") {
-        tensordimm =
-            std::make_unique<baselines::TensorDimmEngine>(memory, tables);
-        serve = [&tensordimm,
-                 sample_of](const embedding::Batch &b, Tick at) {
-            return sample_of(tensordimm->lookup(b, at));
-        };
-    } else {
-        std::fprintf(stderr, "error: unknown --engine '%s'\n"
-                             "run with --help for usage\n",
-                     opt.engine.c_str());
+    std::optional<LookupEngine> engine =
+        makeLookupEngine(opt, memory, layout, tables, nullptr);
+    if (!engine)
         return 2;
-    }
+    auto serve = [&engine](const embedding::Batch &b, Tick at) {
+        return std::visit(
+            [&](auto &e) {
+                const auto t = e->lookup(b, at);
+                return embedding::ServeSample{t.complete,
+                                              t.queryComplete};
+            },
+            *engine);
+    };
 
     embedding::GuardConfig gc;
     gc.queryDeadline = static_cast<Tick>(opt.deadlineUs * kTicksPerUs);
@@ -375,8 +393,7 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     StatRegistry &registry = StatRegistry::instance();
     memory.registerStats(registry.group("memory"));
-    if (event_engine)
-        event_engine->registerStats(registry.group("tree"));
+    registerEngineStats(*engine, registry);
     guard.registerStats(registry.group("service.guard"));
 
     run.setMetric("totalUs", us_total);
@@ -401,27 +418,50 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
 }
 
 /**
- * Pipelined multi-engine serving (--serve-engines > 0): batches flow
- * through prepare -> dispatch -> engine replicas -> writeback with
- * prepare/execute overlap (see docs/PERFORMANCE.md, "Pipelined
- * serving"). Event-engine only — the replicas are event-driven trees.
+ * Served lookups (--serve-engines > 0 or --shards > 0): tables are
+ * placed onto S = max(1, --shards) shards, each shard pipelines its
+ * sub-batches through --serve-engines event-engine replicas (prepare ->
+ * dispatch -> replicas -> writeback, with prepare/execute overlap and
+ * optional hedging), and a fixed-order cross-shard combine reassembles
+ * every batch (see docs/PERFORMANCE.md, "Pipelined serving" and
+ * "Sharded serving"). At S = 1 the tier is the plain pipeline tick for
+ * tick. The engines compute real values and every served vector is
+ * checked bit-for-bit against the single-store reference: the
+ * `valueMismatches` metric must be 0.
  */
 int
-runPipelinedLookup(const Options &opt,
-                   telemetry::TelemetrySession &session)
+runServedLookup(const Options &opt, telemetry::TelemetrySession &session)
 {
     if (opt.engine != "event") {
-        std::fprintf(stderr,
-                     "error: --serve-engines requires --engine=event\n");
+        std::fprintf(stderr, "error: --serve-engines and --shards require "
+                             "--engine=event\n");
         return 2;
     }
-    core::ServingConfig sc;
-    sc.engines = opt.serveEngines;
-    applyServingOptions(opt, sc);
+    core::ShardTierConfig tc;
+    tc.shards = std::max(1u, opt.shards);
+    tc.placement = core::parsePlacement(opt.placement);
+    core::ServingConfig &sc = tc.serving;
+    sc.engines = std::max(1u, opt.serveEngines);
+    sc.pipelineDepth = opt.pipelineDepth;
+    sc.hedgePct = opt.hedgePct;
+    sc.dedup = opt.dedup;
+    sc.payload = opt.payload;
+    sc.prepareWorkers = std::max(1u, opt.prepareWorkers);
+    if (opt.dispatch == "least-loaded")
+        sc.dispatch = core::DispatchPolicy::LeastLoaded;
+    else if (opt.dispatch == "round-robin")
+        sc.dispatch = core::DispatchPolicy::RoundRobin;
+    else
+        FAFNIR_FATAL("unknown --dispatch '", opt.dispatch,
+                     "' (expected least-loaded or round-robin)");
 
     telemetry::RunReport &run = session.report();
-    run.setConfig("serveEngines",
-                  static_cast<std::uint64_t>(opt.serveEngines));
+    const auto replicas = static_cast<std::uint64_t>(sc.engines);
+    run.setConfig("shards", static_cast<std::uint64_t>(tc.shards));
+    run.setConfig("placement", opt.placement);
+    run.setConfig("serveEngines", replicas);
+    // Replicas per shard under the key earlier sharded reports used.
+    run.setConfig("shardReplicas", replicas);
     run.setConfig("pipelineDepth",
                   static_cast<std::uint64_t>(opt.pipelineDepth));
     run.setConfig("dispatch", opt.dispatch);
@@ -430,100 +470,14 @@ runPipelinedLookup(const Options &opt,
                   static_cast<std::uint64_t>(sc.prepareWorkers));
 
     const embedding::TableConfig tables = tableConfig();
-    core::EventEngineConfig ecfg;
-    ecfg.base.dedup = opt.dedup;
-    ecfg.base.interactive = opt.interactive;
-    std::vector<core::EngineReplica> replicas = core::makeEventReplicas(
-        opt.serveEngines, memoryConfig(opt), tables, ecfg, nullptr);
-    const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
-
-    core::ServingPipeline pipeline(sc, replicas, nullptr);
-    const core::PipelineReport served = pipeline.serve(batches, 0);
-
-    const double us_total =
-        static_cast<double>(served.makespan) / kTicksPerUs;
-    const auto queries = static_cast<double>(opt.batches) * opt.batch;
-    std::printf("engine=event serving: %u replicas, depth %u, %s "
-                "dispatch, hedge %.0f%%, %u prepare workers\n",
-                opt.serveEngines, sc.pipelineDepth, opt.dispatch.c_str(),
-                opt.hedgePct, sc.prepareWorkers);
-    std::printf("time: %.2f us makespan, %.1f ns/query, "
-                "%.0f batches/s\n",
-                us_total, us_total * 1000.0 / queries,
-                served.requestsPerSecond());
-    std::printf("hedging: %llu issued, %llu won\n",
-                static_cast<unsigned long long>(served.hedgesIssued),
-                static_cast<unsigned long long>(served.hedgesWon));
-    std::ostringstream shards;
-    for (std::size_t e = 0; e < served.batchesPerEngine.size(); ++e)
-        shards << (e == 0 ? "" : " ") << served.batchesPerEngine[e];
-    std::printf("shards: [%s] batches per engine\n",
-                shards.str().c_str());
-    pipeline.printHealthScoreboard(std::cout, served);
-
-    StatRegistry &registry = StatRegistry::instance();
-    pipeline.registerStats(registry.group("serving"));
-    for (std::size_t e = 0; e < replicas.size(); ++e)
-        replicas[e].engine->registerStats(
-            registry.group("tree.engine" + std::to_string(e)));
-
-    PayloadTotals payload;
-    for (const auto &trace : served.batches)
-        payload.add(trace.timing);
-
-    run.setMetric("totalUs", us_total);
-    run.setMetric("nsPerQuery", us_total * 1000.0 / queries);
-    run.setMetric("batchesPerSec", served.requestsPerSecond());
-    run.setMetric("hedgesIssued",
-                  static_cast<double>(served.hedgesIssued));
-    run.setMetric("hedgesWon", static_cast<double>(served.hedgesWon));
-    payload.setMetrics(run, tables.dim());
-    return session.finish();
-}
-
-/**
- * Sharded serving (--shards > 0): tables are placed onto S shards, each
- * shard runs its own replica group, and a fixed-order cross-shard
- * combine reassembles every batch (see docs/PERFORMANCE.md, "Sharded
- * serving"). The engines compute real values and every served vector is
- * checked bit-for-bit against the single-store reference — the
- * `valueMismatches` metric must be 0 (CI's shard-conformance smoke).
- */
-int
-runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
-{
-    if (opt.engine != "event") {
-        std::fprintf(stderr,
-                     "error: --shards requires --engine=event\n");
-        return 2;
-    }
-    core::ShardTierConfig tc;
-    tc.shards = opt.shards;
-    tc.placement = core::parsePlacement(opt.placement);
-    tc.serving.engines = std::max(1u, opt.shardReplicas);
-    applyServingOptions(opt, tc.serving);
-
-    telemetry::RunReport &run = session.report();
-    run.setConfig("shards", static_cast<std::uint64_t>(tc.shards));
-    run.setConfig("placement", opt.placement);
-    run.setConfig("shardReplicas",
-                  static_cast<std::uint64_t>(tc.serving.engines));
-    run.setConfig("pipelineDepth",
-                  static_cast<std::uint64_t>(opt.pipelineDepth));
-    run.setConfig("dispatch", opt.dispatch);
-    run.setConfig("hedgePct", opt.hedgePct);
-    run.setConfig("prepareWorkers",
-                  static_cast<std::uint64_t>(tc.serving.prepareWorkers));
-
-    const embedding::TableConfig tables = tableConfig();
     const embedding::EmbeddingStore store(tables);
     core::EventEngineConfig ecfg;
     ecfg.base.dedup = opt.dedup;
     ecfg.base.interactive = opt.interactive;
     ecfg.computeValues = true;
     std::vector<std::vector<core::EngineReplica>> groups =
-        core::makeShardReplicas(tc.shards, tc.serving.engines,
-                                memoryConfig(opt), tables, ecfg, &store);
+        core::makeShardReplicas(tc.shards, sc.engines, memoryConfig(opt),
+                                tables, ecfg, &store);
     const std::vector<embedding::Batch> batches = makeBatches(opt, tables);
 
     core::ShardedServingTier tier(tc, groups, &store);
@@ -569,15 +523,41 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
         }
     }
 
+    // Hedges, per-engine load and payload bytes telescope over the
+    // per-shard pipeline reports (the tier moves only combined
+    // partials).
+    std::uint64_t hedges_issued = 0, hedges_won = 0;
+    std::ostringstream per_engine;
+    PayloadTotals payload;
+    for (const core::PipelineReport &shard : served.perShard) {
+        hedges_issued += shard.hedgesIssued;
+        hedges_won += shard.hedgesWon;
+        per_engine << (per_engine.tellp() > 0 ? " [" : "[");
+        for (std::size_t e = 0; e < shard.batchesPerEngine.size(); ++e)
+            per_engine << (e == 0 ? "" : " ") << shard.batchesPerEngine[e];
+        per_engine << "]";
+        for (const auto &trace : shard.batches)
+            payload.add(trace.timing);
+    }
+
     const double us_total =
         static_cast<double>(served.makespan) / kTicksPerUs;
-    std::printf("engine=event sharded serving: %u shards (%s "
-                "placement), %u replicas/shard, depth %u, %u prepare "
-                "workers\n",
-                tc.shards, opt.placement.c_str(), tc.serving.engines,
-                tc.serving.pipelineDepth, tc.serving.prepareWorkers);
-    std::printf("time: %.2f us makespan, %.0f batches/s\n", us_total,
+    const auto queries = static_cast<double>(opt.batches) * opt.batch;
+    std::printf("engine=event serving: %u shards (%s placement), %u "
+                "replicas/shard, depth %u, %s dispatch, hedge %.0f%%, "
+                "%u prepare workers\n",
+                tc.shards, opt.placement.c_str(), sc.engines,
+                sc.pipelineDepth, opt.dispatch.c_str(), opt.hedgePct,
+                sc.prepareWorkers);
+    std::printf("time: %.2f us makespan, %.1f ns/query, "
+                "%.0f batches/s\n",
+                us_total, us_total * 1000.0 / queries,
                 served.requestsPerSecond());
+    std::printf("hedging: %llu issued, %llu won\n",
+                static_cast<unsigned long long>(hedges_issued),
+                static_cast<unsigned long long>(hedges_won));
+    std::printf("engines: %s batches per engine, per shard\n",
+                per_engine.str().c_str());
     std::printf("routing: %llu cross-shard queries, load imbalance "
                 "%.2f\n",
                 static_cast<unsigned long long>(
@@ -601,18 +581,24 @@ runShardedLookup(const Options &opt, telemetry::TelemetrySession &session)
                     imbalance_before, tier.observedImbalance(),
                     moves.size());
 
+    // One shard keeps the plain pipeline's `serving` and
+    // `tree.engine<e>` group names; more shards add `.shard<s>`.
     StatRegistry &registry = StatRegistry::instance();
     tier.registerStats(registry.group("serving.shard"));
-
-    // Payload byte/energy accounting telescopes over the per-shard
-    // pipeline traces (the tier itself moves only combined partials).
-    PayloadTotals payload;
-    for (const core::PipelineReport &shard : served.perShard)
-        for (const auto &trace : shard.batches)
-            payload.add(trace.timing);
+    for (unsigned s = 0; s < tc.shards; ++s) {
+        const std::string shard =
+            tc.shards == 1 ? "" : ".shard" + std::to_string(s);
+        tier.pipeline(s).registerStats(registry.group("serving" + shard));
+        for (std::size_t e = 0; e < sc.engines; ++e)
+            groups[s][e].engine->registerStats(registry.group(
+                "tree" + shard + ".engine" + std::to_string(e)));
+    }
 
     run.setMetric("totalUs", us_total);
+    run.setMetric("nsPerQuery", us_total * 1000.0 / queries);
     run.setMetric("batchesPerSec", served.requestsPerSecond());
+    run.setMetric("hedgesIssued", static_cast<double>(hedges_issued));
+    run.setMetric("hedgesWon", static_cast<double>(hedges_won));
     run.setMetric("crossShardQueries",
                   static_cast<double>(served.crossShardQueries));
     run.setMetric("shardImbalance", served.loadImbalance());
@@ -644,18 +630,6 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
     std::vector<Tick> batch_latency;
     Distribution batch_latency_us;
 
-    auto consume = [&](const auto &timings) {
-        for (const auto &t : timings) {
-            complete = std::max(complete, t.complete);
-            reads += t.memAccesses;
-            batch_latency.push_back(t.totalTime());
-            batch_latency_us.sample(
-                static_cast<double>(t.totalTime()) / kTicksPerUs);
-            if constexpr (requires { t.dramPayloadBytes; })
-                payload.add(t);
-        }
-    };
-
     if (opt.payload != embedding::PayloadFormat::Fp32 &&
         opt.engine != "analytic" && opt.engine != "event") {
         std::fprintf(stderr, "error: --payload=%s requires "
@@ -673,50 +647,33 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
         (opt.payload != embedding::PayloadFormat::Fp32 ||
          !opt.payloadAccuracy.empty());
     std::unique_ptr<embedding::EmbeddingStore> store;
+    if (quant_check)
+        store = std::make_unique<embedding::EmbeddingStore>(tables);
 
-    // The event engine outlives the run so its per-PE counters can be
-    // exported after the lookups finish.
-    std::unique_ptr<core::EventDrivenEngine> event_engine;
-    std::vector<core::EventLookupTiming> event_timings;
-
-    if (opt.engine == "analytic" || opt.engine == "event") {
-        core::EngineConfig cfg;
-        cfg.dedup = opt.dedup;
-        cfg.interactive = opt.interactive;
-        cfg.payload = opt.payload;
-        if (opt.engine == "event") {
-            core::EventEngineConfig ecfg;
-            ecfg.base = cfg;
-            if (quant_check) {
-                store = std::make_unique<embedding::EmbeddingStore>(
-                    tables);
-                ecfg.computeValues = true;
-            }
-            event_engine = std::make_unique<core::EventDrivenEngine>(
-                memory, layout, ecfg, store.get());
-            event_timings = event_engine->lookupMany(batches, 0);
-            consume(event_timings);
-        } else {
-            core::FafnirEngine engine(memory, layout, cfg);
-            consume(engine.lookupMany(batches, 0));
-        }
-    } else if (opt.engine == "cpu") {
-        baselines::CpuEngine engine(memory, layout);
-        consume(engine.lookupMany(batches, 0));
-    } else if (opt.engine == "recnmp") {
-        baselines::RecNmpConfig cfg;
-        cfg.cacheEnabled = true;
-        baselines::RecNmpEngine engine(memory, layout, cfg);
-        consume(engine.lookupMany(batches, 0));
-    } else if (opt.engine == "tensordimm") {
-        baselines::TensorDimmEngine engine(memory, tables);
-        consume(engine.lookupMany(batches, 0));
-    } else {
-        std::fprintf(stderr, "error: unknown --engine '%s'\n"
-                             "run with --help for usage\n",
-                     opt.engine.c_str());
+    // The engine outlives the run so the event engine's per-PE counters
+    // can be exported after the lookups finish.
+    std::optional<LookupEngine> engine =
+        makeLookupEngine(opt, memory, layout, tables, store.get());
+    if (!engine)
         return 2;
-    }
+    std::vector<core::EventLookupTiming> event_timings;
+    std::visit(
+        [&](auto &e) {
+            auto timings = e->lookupMany(batches, 0);
+            for (const auto &t : timings) {
+                complete = std::max(complete, t.complete);
+                reads += t.memAccesses;
+                batch_latency.push_back(t.totalTime());
+                batch_latency_us.sample(
+                    static_cast<double>(t.totalTime()) / kTicksPerUs);
+                if constexpr (requires { t.dramPayloadBytes; })
+                    payload.add(t);
+            }
+            if constexpr (std::is_same_v<decltype(timings),
+                                         decltype(event_timings)>)
+                event_timings = std::move(timings);
+        },
+        *engine);
 
     for (const auto &b : batches)
         references += b.totalIndices();
@@ -867,8 +824,7 @@ runLookup(const Options &opt, telemetry::TelemetrySession &session)
 
     StatRegistry &registry = StatRegistry::instance();
     memory.registerStats(registry.group("memory"));
-    if (event_engine)
-        event_engine->registerStats(registry.group("tree"));
+    registerEngineStats(*engine, registry);
     StatGroup &lookup = registry.group("lookup");
     lookup.addDistribution("batchLatencyUs", batch_latency_us,
                            "per-batch end-to-end latency");
@@ -1046,8 +1002,8 @@ main(int argc, char **argv)
                   "guarded serving: shed retries (single attempt) while "
                   "an --slo burn-rate alert is active");
     flags.addUnsigned("serve-engines", opt.serveEngines,
-                      "engine replicas for the pipelined serving path "
-                      "(0 = serial single-engine)");
+                      "engine replicas per shard on the served path "
+                      "(0 = serial single-engine unless --shards)");
     flags.addUnsigned("pipeline-depth", opt.pipelineDepth,
                       "prepared batches in flight (1 = serial rhythm)");
     flags.addUnsigned("prepare-workers", opt.prepareWorkers,
@@ -1060,12 +1016,10 @@ main(int argc, char **argv)
                     "hedge a straggling batch onto a second engine past "
                     "this running service-time percentile (0 = off)");
     flags.addUnsigned("shards", opt.shards,
-                      "shard tables across this many stores behind the "
-                      "sharded serving tier (0 = single store)");
+                      "shard tables across this many stores on the "
+                      "served path (0 = single store)");
     flags.addString("placement", opt.placement,
                     "table -> shard placement policy: hash or range");
-    flags.addUnsigned("shard-replicas", opt.shardReplicas,
-                      "engine replicas per shard in the sharded tier");
     flags.addString("payload", opt.payloadName,
                     "transport payload format for tree links and DRAM "
                     "reads: fp32, int8, or twobit");
@@ -1112,10 +1066,8 @@ main(int argc, char **argv)
         // injected faults surface as recovery actions, not bad numbers.
         if (instruments().faults != nullptr)
             return runGuardedLookup(opt, session);
-        if (opt.shards > 0)
-            return runShardedLookup(opt, session);
-        if (opt.serveEngines > 0)
-            return runPipelinedLookup(opt, session);
+        if (opt.serveEngines > 0 || opt.shards > 0)
+            return runServedLookup(opt, session);
         return runLookup(opt, session);
     }
     if (opt.mode == "spmv")

@@ -1,12 +1,16 @@
 # ctest helper: run EXE with ARGS (one space-separated string) and
-# require exit status STATUS (default 0). With METRIC set, the run also
-# writes a run report whose metrics.METRIC must be 0.
+# require exit status STATUS (default 0). With CHECKS set (a
+# space-separated list of `section.key=value` or `section.key>number`
+# items), the run also writes a run report, and each named field of it
+# must equal the value (numerically when the value is a number) or
+# exceed the number.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if(NOT DEFINED STATUS)
     set(STATUS 0)
 endif()
-if(METRIC)
-    set(report ${METRIC}_check_report.json)
+if(CHECKS)
+    string(MAKE_C_IDENTIFIER "${ARGS}" tag)
+    set(report exit_check_${tag}.json)
     list(APPEND args --report=${report})
 endif()
 
@@ -16,10 +20,22 @@ if(NOT rc STREQUAL STATUS)
     message(FATAL_ERROR "${EXE} ${ARGS}: exit status ${rc}, want ${STATUS}")
 endif()
 
-if(METRIC)
+if(CHECKS)
     file(READ ${report} json)
-    string(JSON value GET "${json}" metrics ${METRIC})
-    if(NOT value EQUAL 0)
-        message(FATAL_ERROR "metrics.${METRIC} = ${value}, want 0")
-    endif()
+    separate_arguments(checks UNIX_COMMAND "${CHECKS}")
+    foreach(check IN LISTS checks)
+        if(NOT check MATCHES "^([A-Za-z]+)\\.([A-Za-z0-9_]+)([=>])(.+)$")
+            message(FATAL_ERROR "malformed check '${check}'")
+        endif()
+        set(op ${CMAKE_MATCH_3})
+        set(want ${CMAKE_MATCH_4})
+        string(JSON value GET "${json}" ${CMAKE_MATCH_1} ${CMAKE_MATCH_2})
+        if(op STREQUAL ">" AND value GREATER want)
+        elseif(op STREQUAL "=" AND want MATCHES "^-?[0-9.]+$"
+               AND value EQUAL want)
+        elseif(op STREQUAL "=" AND value STREQUAL want)
+        else()
+            message(FATAL_ERROR "${check}: report has ${value}")
+        endif()
+    endforeach()
 endif()
