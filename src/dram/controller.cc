@@ -176,10 +176,12 @@ Controller::drain(unsigned rank)
         attr->recordCtrlResidency(issue_at - picked.arrival);
 
     if (picked.onComplete) {
-        eq.scheduleFn(result.complete,
-                      [cb = std::move(picked.onComplete), result] {
-                          cb(result.complete, result);
-                      },
+        auto complete = [cb = std::move(picked.onComplete), result] {
+            cb(result.complete, result);
+        };
+        static_assert(EventQueue::fitsInline<decltype(complete)>,
+                      "a DRAM completion must fit an event node inline");
+        eq.scheduleFn(result.complete, std::move(complete),
                       Event::DramPriority);
     }
     eq.setCurrentFlow(0);

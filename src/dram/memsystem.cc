@@ -296,10 +296,12 @@ MemorySystem::readAsync(
     std::function<void(Tick, const AccessResult &)> on_complete)
 {
     AccessResult result = read(addr, bytes, earliest, dest);
-    eventq_.scheduleFn(result.complete,
-                       [result, cb = std::move(on_complete)] {
-                           cb(result.complete, result);
-                       },
+    auto complete = [result, cb = std::move(on_complete)] {
+        cb(result.complete, result);
+    };
+    static_assert(EventQueue::fitsInline<decltype(complete)>,
+                  "a DRAM completion must fit an event node inline");
+    eventq_.scheduleFn(result.complete, std::move(complete),
                        Event::DramPriority);
     return result;
 }

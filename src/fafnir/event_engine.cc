@@ -353,7 +353,12 @@ EventDrivenEngine::Pipeline::emit(std::uint32_t p, std::uint32_t k)
         const std::uint32_t parent = engine.topology_.parent(p);
         const unsigned side = p % 2 == 0 ? 0 : 1;
         const std::uint32_t input = pes[parent].inBase[side] + k;
-        eq.scheduleFn(t, [this, parent, input] { deliver(parent, input); });
+        const auto delivery = [this, parent, input] {
+            deliver(parent, input);
+        };
+        static_assert(EventQueue::fitsInline<decltype(delivery)>,
+                      "a PE delivery must fit an event node inline");
+        eq.scheduleFn(t, delivery);
     }
 }
 

@@ -2,16 +2,26 @@
  * @file
  * Implementation of the event queue.
  *
- * Structure invariants (established in the header comment):
- *  - windowBase_ <= now_ except transiently inside advance(), between a
- *    window re-base and the execution of the migrated heap minimum.
+ * Structure invariants (the levels are described in the header):
+ *  - windowBase_ is a multiple of kWindow, and windowBase_ <= now_
+ *    except transiently inside advance(), between a re-base and the
+ *    execution of the first migrated entry. A re-base happens only when
+ *    a live entry of the new window is due by the run's limit, so every
+ *    run()/step() returns with windowBase_ <= now_ and any schedule at
+ *    or after now_ has a level to land in.
  *  - Live bucket entries sit in bucket[when - windowBase_]; ticks below
  *    now_ have already been drained, so their buckets are empty.
- *  - Heap entries satisfy when - windowBase_ >= kWindow: inserts target
- *    the heap only beyond the window, and every re-base migrates all
- *    entries that the new window covers.
- *  - The occupancy bitmap is exact: a bucket bit is set iff its chain is
- *    non-empty, and a summary bit iff its bitmap word is non-zero.
+ *  - Far entries satisfy kWindow <= when - windowBase_ < kFarSpan, so
+ *    each ring slot holds exactly one window's entries, in insertion
+ *    order. The slot of the near window itself is always empty.
+ *  - Heap entries satisfy when - windowBase_ >= kWindow. They were filed
+ *    beyond the ring and stay in the heap until their own window becomes
+ *    the near one; a re-base takes the earlier of the heap minimum's
+ *    window and the next occupied far window, so neither level can hold
+ *    an entry due before the other level's next window.
+ *  - The occupancy bitmaps are exact: a bucket (or far-slot) bit is set
+ *    iff its chain is non-empty, and a summary bit iff its bitmap word is
+ *    non-zero.
  */
 
 #include "eventq.hh"
@@ -35,9 +45,12 @@ constexpr std::size_t kHeapArity = 4;
 } // namespace
 
 EventQueue::EventQueue()
-    : bucketHead_(kWindow, nullptr), bucketBits_(kWindow / 64, 0)
+    : bucketHead_(kWindow, nullptr), bucketBits_(kWindow / 64, 0),
+      far_(kFarBuckets)
 {
     for (std::uint64_t &word : summaryBits_)
+        word = 0;
+    for (std::uint64_t &word : farBits_)
         word = 0;
 }
 
@@ -46,7 +59,7 @@ EventQueue::~EventQueue()
     // Destroy never-fired one-shot callbacks still sitting in the queue.
     const auto dropOneShot = [](Node *node) {
         if (node->event == nullptr)
-            node->drop(node->storage);
+            node->fire(node->storage, false);
     };
     for (std::size_t i = cacheIdx_; i < cache_.size(); ++i)
         dropOneShot(cache_[i].node);
@@ -61,6 +74,10 @@ EventQueue::~EventQueue()
                 dropOneShot(node);
             }
         }
+    }
+    for (const FarChain &chain : far_) {
+        for (Node *node = chain.head; node != nullptr; node = node->next)
+            dropOneShot(node);
     }
     for (const HeapEntry &entry : heap_)
         dropOneShot(entry.node);
@@ -88,6 +105,16 @@ EventQueue::freeNode(Node *node)
 {
     node->next = freeHead_;
     freeHead_ = node;
+}
+
+bool
+EventQueue::reclaimIfStale(Node *node)
+{
+    if (!isStaleNode(*node))
+        return false;
+    --stale_;
+    freeNode(node);
+    return true;
 }
 
 void
@@ -127,6 +154,67 @@ EventQueue::scanBuckets(std::size_t from) const
             return kWindow;
         summary = summaryBits_[sword];
     }
+}
+
+Tick
+EventQueue::nextFarWindow() const
+{
+    // Occupied slots hold windows cur+1 .. cur+kFarBuckets-1, so the
+    // circular scan from cur+1's slot meets them in window order; the
+    // last word is revisited unmasked to cover the slots before it.
+    constexpr std::size_t kFarWords = kFarBuckets / 64;
+    const Tick cur = windowBase_ >> kWindowBits;
+    const std::size_t start =
+        static_cast<std::size_t>(cur + 1) & (kFarBuckets - 1);
+    std::size_t word = start >> 6;
+    std::uint64_t bits = farBits_[word] & (~std::uint64_t(0) << (start & 63));
+    for (std::size_t scanned = 0; scanned <= kFarWords; ++scanned) {
+        if (bits != 0) {
+            const std::size_t slot = (word << 6) + std::countr_zero(bits);
+            return cur + 1 + ((slot - start) & (kFarBuckets - 1));
+        }
+        word = (word + 1) % kFarWords;
+        bits = farBits_[word];
+    }
+    return MaxTick;
+}
+
+EventQueue::Node *
+EventQueue::purgeChain(Node *head, Node *&tail)
+{
+    Node *kept = nullptr;
+    Node **link = &kept;
+    tail = nullptr;
+    while (head != nullptr) {
+        Node *const next = head->next;
+        if (!reclaimIfStale(head)) {
+            *link = head;
+            link = &head->next;
+            tail = head;
+        }
+        head = next;
+    }
+    *link = nullptr;
+    return kept;
+}
+
+void
+EventQueue::clearFarBit(std::size_t slot)
+{
+    farBits_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
+}
+
+Tick
+EventQueue::purgeFarChain(std::size_t slot)
+{
+    FarChain &chain = far_[slot];
+    chain.head = purgeChain(chain.head, chain.tail);
+    if (chain.head == nullptr)
+        clearFarBit(slot);
+    Tick first = MaxTick;
+    for (const Node *node = chain.head; node != nullptr; node = node->next)
+        first = std::min(first, node->when);
+    return first;
 }
 
 void
@@ -195,12 +283,8 @@ EventQueue::activateTick(Tick tick)
         Node *const next = node->next;
         if (next != nullptr)
             __builtin_prefetch(next);
-        if (isStaleNode(*node)) {
-            --stale_;
-            freeNode(node);
-        } else {
+        if (!reclaimIfStale(node))
             cache_.push_back({node->order, node});
-        }
         node = next;
     }
     // The chain is newest-first; reversing restores insertion order,
@@ -226,12 +310,8 @@ EventQueue::refreshCache()
         Node *const next = node->next;
         if (next != nullptr)
             __builtin_prefetch(next);
-        if (isStaleNode(*node)) {
-            --stale_;
-            freeNode(node);
-        } else {
+        if (!reclaimIfStale(node))
             cache_.push_back({node->order, node});
-        }
         node = next;
     }
     std::reverse(cache_.begin() + start, cache_.end());
@@ -244,32 +324,69 @@ EventQueue::refreshCache()
         std::sort(cache_.begin() + cacheIdx_, cache_.end(), less);
 }
 
-void
-EventQueue::rebaseWindow()
+bool
+EventQueue::rebaseWindow(Tick limit)
 {
-    Tick base = heap_[0].when;
-    if (base > MaxTick - kWindow + 1)
-        base = MaxTick - kWindow + 1; // keep windowBase_+index overflow-free
-    FAFNIR_ASSERT(base >= windowBase_, "window re-base moved backwards");
-    windowBase_ = base;
-    while (!heap_.empty()) {
-        const HeapEntry top = heap_[0];
-        const Tick delta = top.when - windowBase_;
-        if (delta >= kWindow)
-            break;
-        heapPopTop();
-        if (isStaleNode(*top.node)) {
-            --stale_;
-            freeNode(top.node);
-        } else {
-            // Heap pops arrive in (when, order) order, so same-tick
-            // chains stay newest-first like direct inserts.
-            bucketPush(static_cast<std::size_t>(delta), top.node);
+    while (true) {
+        while (!heap_.empty() && reclaimIfStale(heap_[0].node))
+            heapPopTop();
+        const Tick heap_window =
+            heap_.empty() ? MaxTick : heap_[0].when >> kWindowBits;
+        const Tick far_window = nextFarWindow();
+        const Tick window = std::min(heap_window, far_window);
+        if (window == MaxTick)
+            return false; // idle
+        const Tick base = window << kWindowBits;
+        if (base > limit)
+            return false;
+        const std::size_t slot =
+            static_cast<std::size_t>(window) & (kFarBuckets - 1);
+        // Re-base only onto a live entry due by the limit. The far chain
+        // is searched for one only when the answer is in doubt: with
+        // stale entries about, or a limit inside the window.
+        Tick first = heap_window == window ? heap_[0].when : MaxTick;
+        if (far_window == window &&
+            (stale_ != 0 || limit - base < kWindow - 1)) {
+            first = std::min(first, purgeFarChain(slot));
+            if (first == MaxTick)
+                continue; // the chain held only stale entries
         }
+        if (first != MaxTick && first > limit)
+            return false;
+
+        FAFNIR_ASSERT(base > windowBase_, "window re-base moved backwards");
+        windowBase_ = base;
+        activeBucket_ = kWindow; // the drained tick's bucket is gone
+        // Heap entries first: they were all filed before any far entry
+        // of this window, so both passes push oldest first and same-tick
+        // chains stay newest-first like direct inserts. Heap pops arrive
+        // in (when, order) order.
+        while (!heap_.empty() && heap_[0].when - base < kWindow) {
+            Node *const node = heap_[0].node;
+            heapPopTop();
+            if (!reclaimIfStale(node))
+                bucketPush(static_cast<std::size_t>(node->when - base),
+                           node);
+        }
+        if (far_window == window) {
+            Node *node = far_[slot].head;
+            far_[slot] = FarChain{};
+            clearFarBit(slot);
+            while (node != nullptr) {
+                Node *const next = node->next;
+                if (next != nullptr)
+                    __builtin_prefetch(next);
+                if (!reclaimIfStale(node))
+                    bucketPush(static_cast<std::size_t>(node->when - base),
+                               node);
+                node = next;
+            }
+        }
+        return true;
     }
 }
 
-Tick
+bool
 EventQueue::advance(Tick limit)
 {
     while (true) {
@@ -279,25 +396,17 @@ EventQueue::advance(Tick limit)
                 : 0;
         const std::size_t bucket = scanBuckets(from);
         if (bucket == kWindow) {
-            // Nothing in the window; the heap minimum is next.
-            while (!heap_.empty() && isStaleNode(*heap_[0].node)) {
-                --stale_;
-                freeNode(heap_[0].node);
-                heapPopTop();
-            }
-            if (heap_.empty())
-                return MaxTick;
-            if (heap_[0].when > limit)
-                return heap_[0].when;
-            rebaseWindow();
+            // The near window is drained; the far ring or heap is next.
+            if (!rebaseWindow(limit))
+                return false;
             continue;
         }
         const Tick tick = windowBase_ + bucket;
         if (tick > limit)
-            return tick;
+            return false;
         activateTick(tick);
         if (cacheIdx_ < cache_.size())
-            return tick;
+            return true;
         // The tick held only stale entries; keep scanning.
     }
 }
@@ -360,7 +469,7 @@ EventQueue::fireNext()
                         pendingCount_, currentFlow_);
     // Invoke from the node (slab storage is stable even if the callback
     // schedules more work), then retire it.
-    node->fire(node->storage);
+    node->fire(node->storage, true);
     freeNode(node);
     return true;
 }
@@ -470,12 +579,7 @@ EventQueue::compact()
 {
     // Cache remainder.
     const auto staleOut = [this](const CacheEntry &entry) {
-        if (isStaleNode(*entry.node)) {
-            --stale_;
-            freeNode(entry.node);
-            return true;
-        }
-        return false;
+        return reclaimIfStale(entry.node);
     };
     cache_.erase(std::remove_if(cache_.begin() +
                                     static_cast<std::ptrdiff_t>(cacheIdx_),
@@ -489,24 +593,19 @@ EventQueue::compact()
             const std::size_t bucket =
                 word * 64 + std::countr_zero(bits);
             bits &= bits - 1;
-            Node *node = bucketHead_[bucket];
-            Node *newHead = nullptr;
-            Node **link = &newHead;
-            while (node != nullptr) {
-                Node *const next = node->next;
-                if (isStaleNode(*node)) {
-                    --stale_;
-                    freeNode(node);
-                } else {
-                    *link = node;
-                    link = &node->next;
-                }
-                node = next;
-            }
-            *link = nullptr;
-            bucketHead_[bucket] = newHead;
-            if (newHead == nullptr)
+            Node *tail;
+            bucketHead_[bucket] = purgeChain(bucketHead_[bucket], tail);
+            if (bucketHead_[bucket] == nullptr)
                 clearBucketBit(bucket);
+        }
+    }
+
+    // Far chains, preserving insertion order.
+    for (std::size_t word = 0; word < kFarBuckets / 64; ++word) {
+        std::uint64_t bits = farBits_[word];
+        while (bits != 0) {
+            purgeFarChain(word * 64 + std::countr_zero(bits));
+            bits &= bits - 1;
         }
     }
 
@@ -515,12 +614,8 @@ EventQueue::compact()
     // execution order.
     std::size_t kept = 0;
     for (const HeapEntry &entry : heap_) {
-        if (isStaleNode(*entry.node)) {
-            --stale_;
-            freeNode(entry.node);
-        } else {
+        if (!reclaimIfStale(entry.node))
             heap_[kept++] = entry;
-        }
     }
     heap_.resize(kept);
     if (heap_.size() > 1) {
@@ -533,11 +628,8 @@ bool
 EventQueue::step()
 {
     while (true) {
-        if (cacheIdx_ >= cache_.size()) {
-            advance(MaxTick);
-            if (cacheIdx_ >= cache_.size())
-                return false; // idle
-        }
+        if (cacheIdx_ >= cache_.size() && !advance(MaxTick))
+            return false; // idle
         if (fireNext())
             return true;
     }
@@ -548,8 +640,7 @@ EventQueue::run(Tick limit)
 {
     while (true) {
         if (cacheIdx_ >= cache_.size()) {
-            advance(limit);
-            if (cacheIdx_ >= cache_.size())
+            if (!advance(limit))
                 break; // idle, or the next tick is beyond the limit
         } else if (cacheTick_ > limit) {
             break; // a partially drained tick left over from an earlier run

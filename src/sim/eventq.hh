@@ -10,22 +10,32 @@
  *
  * Hot-path design. Every pending entry lives in a slab of pooled nodes
  * with inline callback storage, so scheduling and firing a one-shot
- * allocates nothing. The pending set is split by distance from the
- * clock:
+ * allocates nothing. Time is cut into aligned windows of kWindow
+ * (16384) ticks, and the pending set is split three ways by the window
+ * an entry falls in:
  *
- *  - Near future (a sliding window of one-tick buckets): schedule is an
- *    O(1) chain push plus an occupancy-bitmap bit; pop drains one tick
- *    at a time through a small sorted cache, so same-window events are
- *    ordered with at most one sortedness check and no per-event heap
- *    sifts. A two-level bitmap finds the next occupied tick in a few
- *    word scans.
- *  - Far future: a 4-ary min-heap of compact (tick, order, node)
- *    entries. When the window drains past its end, it is re-based at
- *    the heap's minimum and heap entries inside the new window migrate
- *    into buckets — each entry pays the heap cost at most once.
+ *  - Near level (the current window): one bucket per tick. Schedule is
+ *    an O(1) chain push plus an occupancy-bitmap bit; pop drains one
+ *    tick at a time through a small sorted cache, so same-tick events
+ *    are ordered with at most one sortedness check and no per-event
+ *    heap sifts. A two-level bitmap finds the next occupied tick in a
+ *    few word scans.
+ *  - Far level (the next kFarBuckets - 1 windows, about 16.8 us): a
+ *    ring with one FIFO chain per window, indexed by window number
+ *    modulo the ring size. Schedule is an O(1) tail append plus an
+ *    occupancy bit. This is where DRAM completions and PE-to-PE
+ *    deliveries land: both lie tens of nanoseconds ahead, beyond one
+ *    window.
+ *  - Beyond the ring: a 4-ary min-heap of compact (tick, order, node)
+ *    entries.
+ *
+ * The near window does not slide: once it drains, it re-bases at the
+ * earlier of the next occupied far window and the heap minimum's
+ * window, and that window's far chain and heap entries move into its
+ * one-tick buckets. Each entry pays the far-level or heap cost once.
  *
  * Cancellation is lazy via generation counting; stale nodes are dropped
- * when their tick drains, and both structures are compacted once stale
+ * when their tick drains, and every structure is compacted once stale
  * entries outnumber live ones, so reschedule-heavy components cannot
  * grow the queue without bound. The (tick, priority, insertion-order)
  * contract is identical to the heap-only kernel and is pinned by the
@@ -109,6 +119,25 @@ class Event
 class EventQueue
 {
   public:
+    /**
+     * Inline storage of a pooled one-shot callback. Sized so a Node is
+     * exactly two cache lines, with room to spare for the largest
+     * hot-path capture in the repo (a DRAM completion: AccessResult by
+     * value plus a std::function continuation, 64 bytes).
+     */
+    static constexpr std::size_t kInlineCallbackBytes = 80;
+
+    /**
+     * True when scheduleFn stores a callable of type @p F inside its
+     * pooled node; any other callable costs one heap allocation per
+     * schedule. Hot call sites static_assert it, so a capture that
+     * outgrows the node fails to build instead of silently allocating.
+     */
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(std::decay_t<F>) <= kInlineCallbackBytes &&
+        alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+
     EventQueue();
     ~EventQueue();
 
@@ -163,7 +192,7 @@ class EventQueue
      * Schedule a one-shot callback at @p when. The queue owns the callback;
      * there is no handle and no way to cancel — use an Event for that.
      * The callable is stored inline in a pooled node (no allocation when
-     * it fits the node's storage, as every callable in the repo does).
+     * fitsInline<F>, as every callable in the repo does).
      *
      * Fault hooks (only with a fault::FaultPlan installed when the
      * queue is built, otherwise one member test): event_drop discards
@@ -229,27 +258,26 @@ class EventQueue
         // registered Events — as the causal flow tag, keeping the node
         // at two cache lines with no storage shrink.
         node->generation = currentFlow_;
-        if constexpr (sizeof(Fn) <= kInlineCallbackBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+        if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(node->storage))
                 Fn(std::forward<F>(fn));
-            node->fire = [](void *p) {
+            node->fire = [](void *p, bool call) {
                 Fn *f = static_cast<Fn *>(p);
-                (*f)();
+                if (call)
+                    (*f)();
                 f->~Fn();
             };
-            node->drop = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
         } else {
             // Oversized callable: one heap allocation, node holds a
             // pointer to it.
             ::new (static_cast<void *>(node->storage))
                 Fn *(new Fn(std::forward<F>(fn)));
-            node->fire = [](void *p) {
+            node->fire = [](void *p, bool call) {
                 Fn *f = *static_cast<Fn **>(p);
-                (*f)();
+                if (call)
+                    (*f)();
                 delete f;
             };
-            node->drop = [](void *p) { delete *static_cast<Fn **>(p); };
         }
         insertNode(node, when, priority);
     }
@@ -277,16 +305,14 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_; }
 
   private:
-    /**
-     * Inline storage of a pooled one-shot callback. Sized so a Node is
-     * exactly two cache lines, which still fits the largest hot-path
-     * capture in the repo (a DRAM completion: AccessResult by value plus
-     * a std::function continuation, 72 bytes).
-     */
-    static constexpr std::size_t kInlineCallbackBytes = 80;
-    /** Near-future window: one bucket per tick. */
+    /** Near level: one bucket per tick of the current aligned window. */
     static constexpr std::size_t kWindowBits = 14;
     static constexpr Tick kWindow = Tick(1) << kWindowBits;
+    /** Far level: one chain per window, indexed modulo kFarBuckets. */
+    static constexpr std::size_t kFarBits = 10;
+    static constexpr std::size_t kFarBuckets = std::size_t(1) << kFarBits;
+    /** Entries at or beyond windowBase_ + kFarSpan go to the heap. */
+    static constexpr Tick kFarSpan = kWindow << kFarBits;
     /** Nodes per slab chunk. */
     static constexpr std::size_t kChunkNodes = 256;
 
@@ -297,22 +323,31 @@ class EventQueue
     {
         /** (priority, sequence) packed into one comparison key. */
         std::uint64_t order;
+        /** Tick the entry fires at (far chains are re-filed by it). */
+        Tick when;
         /** Registered event, or nullptr for a one-shot callback. */
         Event *event;
         /** Generation the entry was scheduled under (event entries). */
         std::uint64_t generation;
         /** Next node in the same bucket chain / free list. */
         Node *next;
-        /** Invoke the stored callable, then destroy it. */
-        void (*fire)(void *);
-        /** Destroy the stored callable without calling it (teardown). */
-        void (*drop)(void *);
+        /** Invoke the stored callable if `call` (false at teardown),
+         *  then destroy it. */
+        void (*fire)(void *, bool call);
         alignas(std::max_align_t) unsigned char
             storage[kInlineCallbackBytes];
     };
     static_assert(sizeof(Node) == 128, "Node should be two cache lines");
 
-    /** Far-future heap entry; comparisons never touch the node. */
+    /** A far-level window's entries, oldest first. */
+    struct FarChain
+    {
+        Node *head = nullptr;
+        Node *tail = nullptr;
+    };
+
+    /** Heap entry beyond the far ring; comparisons never touch the
+     *  node. */
     struct HeapEntry
     {
         Tick when;
@@ -335,9 +370,21 @@ class EventQueue
 
     Node *allocNode();
     void freeNode(Node *node);
+    /** Free @p node if stale (true), counting it out of stale_. */
+    bool reclaimIfStale(Node *node);
     void insertNode(Node *node, Tick when, int priority);
     void bucketPush(std::size_t bucket, Node *node);
     void clearBucketBit(std::size_t bucket);
+    /** Free the stale nodes of the chain from @p head, keeping the rest
+     *  in order. @return the new head; @p tail gets its last node. */
+    Node *purgeChain(Node *head, Node *&tail);
+    void farPush(Node *node);
+    void clearFarBit(std::size_t slot);
+    /** Drop stale entries of far chain @p slot, keeping its order.
+     *  @return the earliest live tick left in it, or MaxTick. */
+    Tick purgeFarChain(std::size_t slot);
+    /** Window number of the earliest occupied far chain, or MaxTick. */
+    Tick nextFarWindow() const;
     void heapPush(HeapEntry entry);
     void heapPopTop();
     void heapSiftDown(std::size_t hole, HeapEntry entry);
@@ -347,14 +394,17 @@ class EventQueue
     void activateTick(Tick tick);
     /** Merge same-tick arrivals into the active cache. */
     void refreshCache();
-    /** Re-base the window at the heap minimum, migrate entries in. */
-    void rebaseWindow();
     /**
-     * Find the next occupied tick and activate it if <= @p limit.
-     * Returns that tick, or MaxTick when the queue is idle; a return
-     * beyond @p limit means the tick was not activated.
+     * Re-base the drained near window at the next occupied window of
+     * the far ring or heap and move that window's entries into its
+     * buckets. Declines (returns false) when the queue is idle or every
+     * live entry there lies beyond @p limit, leaving windowBase_ <=
+     * now_ so later schedules between now_ and that window stay legal.
      */
-    Tick advance(Tick limit);
+    bool rebaseWindow(Tick limit);
+    /** Activate the next occupied tick if it is <= @p limit.
+     *  @return false when idle or the next tick lies beyond it. */
+    bool advance(Tick limit);
     /**
      * Execute cache_[cacheIdx_] (precondition: cache has remaining
      * entries). Returns false if the entry was stale and only dropped.
@@ -381,9 +431,15 @@ class EventQueue
     /** Two-level occupancy bitmap over the buckets. */
     std::vector<std::uint64_t> bucketBits_;
     std::uint64_t summaryBits_[kWindow / 64 / 64];
+    /** Start of the near window; always a multiple of kWindow. */
     Tick windowBase_ = 0;
 
-    /** Far-future 4-ary min-heap. */
+    /** Far ring: chain of window w at far_[w % kFarBuckets], for
+     *  windows after the near one and before windowBase_ + kFarSpan. */
+    std::vector<FarChain> far_;
+    std::uint64_t farBits_[kFarBuckets / 64];
+
+    /** 4-ary min-heap of the entries beyond the far ring. */
     std::vector<HeapEntry> heap_;
 
     /** Active-tick drain cache: entries sorted by order, cursor idx. */
@@ -431,9 +487,12 @@ EventQueue::insertNode(Node *node, Tick when, int priority)
                        static_cast<std::uint32_t>(priority + 32768))
                    << 48) |
                   sequence_++;
+    node->when = when;
     const Tick delta = when - windowBase_;
     if (delta < kWindow)
         bucketPush(static_cast<std::size_t>(delta), node);
+    else if (delta < kFarSpan)
+        farPush(node);
     else
         heapPush({when, node->order, node});
     ++pendingCount_;
@@ -452,6 +511,25 @@ EventQueue::bucketPush(std::size_t bucket, Node *node)
     head = node;
     if (bucket == activeBucket_)
         cacheDirty_ = true;
+}
+
+/** Append to the window's chain, so chains stay in insertion order and
+ *  migrate into buckets newest-first like direct inserts. */
+inline void
+EventQueue::farPush(Node *node)
+{
+    const std::size_t slot =
+        static_cast<std::size_t>(node->when >> kWindowBits) &
+        (kFarBuckets - 1);
+    FarChain &chain = far_[slot];
+    node->next = nullptr;
+    if (chain.head == nullptr) {
+        chain.head = node;
+        farBits_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+    } else {
+        chain.tail->next = node;
+    }
+    chain.tail = node;
 }
 
 } // namespace fafnir

@@ -147,8 +147,8 @@ TEST(EventQueue, ManyEventsStress)
 
 // The queue promises a total order over (tick, priority, insertion
 // sequence). This pins it against a stable-sort reference with ticks
-// spanning the near-future window and the far-future overflow heap, so
-// neither structure may reorder ties.
+// spanning the near window and the far ring, so neither level may
+// reorder ties (ThreeLevelsMatchReference adds the heap).
 TEST(EventQueue, DeterministicTotalOrder)
 {
     EventQueue eq;
@@ -357,6 +357,7 @@ TEST(EventQueue, OversizedCallableFallsBackToHeap)
 {
     EventQueue eq;
     std::array<std::uint64_t, 32> payload; // 256 B, over the inline cap
+    static_assert(!EventQueue::fitsInline<decltype(payload)>);
     std::iota(payload.begin(), payload.end(), 1);
     std::uint64_t got = 0;
     eq.scheduleFn(10, [payload, &got] {
@@ -367,9 +368,9 @@ TEST(EventQueue, OversizedCallableFallsBackToHeap)
     EXPECT_EQ(got, 32u * 33 / 2);
 }
 
-// Destroying a queue with un-fired one-shots (in the bucket window, in
-// the far-future heap, and in a partially drained tick) must destroy
-// their callables exactly once.
+// Destroying a queue with un-fired one-shots (in the bucket window, in a
+// far-ring chain, in the overflow heap beyond the ring, and in a
+// partially drained tick) must destroy their callables exactly once.
 TEST(EventQueue, TeardownDestroysPendingOneShots)
 {
     auto token = std::make_shared<int>(42);
@@ -377,11 +378,221 @@ TEST(EventQueue, TeardownDestroysPendingOneShots)
         EventQueue eq;
         eq.scheduleFn(10, [token] {});
         eq.scheduleFn(10, [token] {});
-        eq.scheduleFn(200000, [token] {}); // far-future heap
+        eq.scheduleFn(200000, [token] {});     // a far-ring chain
+        eq.scheduleFn(50'000'000, [token] {}); // beyond the ring: heap
         ASSERT_TRUE(eq.step()); // leaves one entry of tick 10 in the cache
-        EXPECT_EQ(token.use_count(), 3);
+        EXPECT_EQ(token.use_count(), 4);
     }
     EXPECT_EQ(token.use_count(), 1);
+}
+
+// The queue's geometry (eventq.hh): 16384-tick windows, a ring of 1024
+// far windows, the overflow heap beyond. The tests below use it only to
+// aim ticks at each level; the contract they check does not depend on it.
+constexpr Tick kTestWindow = Tick(1) << 14;
+constexpr Tick kTestFarSpan = kTestWindow << 10;
+
+// A run(limit) that stops short of the next pending entry, where that
+// entry sits in a far window or beyond the ring, must not move the near
+// window past now(): a later schedule between now() and that window is
+// legal and fires first.
+TEST(EventQueue, RunLimitShortOfFarWindow)
+{
+    for (const Tick far : {5 * kTestWindow + 100, 2000 * kTestWindow + 100}) {
+        EventQueue eq;
+        std::vector<int> fired;
+        eq.scheduleFn(far, [&] { fired.push_back(2); });
+        eq.run(far - 50); // inside the entry's window, before the entry
+        EXPECT_TRUE(fired.empty());
+        EXPECT_EQ(eq.now(), 0u);
+        eq.scheduleFn(10, [&] { fired.push_back(1); });
+        eq.scheduleFn(far - 50, [&] { fired.push_back(3); });
+        eq.run();
+        EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
+        EXPECT_EQ(eq.now(), far);
+    }
+}
+
+// All three levels against a reference model. Shared "hot" ticks collect
+// same-tick ties filed into the heap (while beyond the ring), the far
+// ring and the near buckets (after a run stops inside their window), with
+// mixed priorities. Time runs over many ring lengths, so the ring index
+// wraps. run(limit) and step() interleave with schedules, and every run
+// is followed by a schedule between now() and the next pending entry.
+// Registered events are cancelled and rescheduled while they sit in far
+// chains, and a churn phase of far-only reschedules must keep
+// staleCount() within the compaction bound.
+TEST(EventQueue, ThreeLevelsMatchReference)
+{
+    constexpr int kEvents = 32;
+    constexpr int kHot = 4;
+    struct Ref
+    {
+        Tick when;
+        int pri;
+        std::uint64_t seq;
+        int id;
+    };
+    struct Hot
+    {
+        Tick when;
+        bool heap, far, near;
+    };
+
+    EventQueue eq;
+    std::mt19937_64 rng(4242);
+    std::vector<Ref> model; // pending entries
+    std::vector<int> fired;
+    std::vector<int> expected;
+    std::uint64_t seq = 0;
+    int next_id = kEvents; // one-shot ids follow the registered events'
+    const int prios[] = {Event::DramPriority, Event::DefaultPriority,
+                         Event::StatsPriority};
+    std::vector<std::unique_ptr<Event>> events;
+    for (int i = 0; i < kEvents; ++i) {
+        events.push_back(std::make_unique<Event>(
+            "far", [&fired, i] { fired.push_back(i); }, prios[i % 3]));
+    }
+
+    // A hot tick starts beyond the ring, in the second half of a window.
+    const auto freshHot = [&] {
+        return Hot{(eq.now() + kTestFarSpan + rng() % kTestFarSpan) |
+                       (kTestWindow / 2),
+                   false, false, false};
+    };
+    std::vector<Hot> hot;
+    for (int h = 0; h < kHot; ++h)
+        hot.push_back(freshHot());
+    int hot_all_levels = 0;
+
+    const auto oneShot = [&](Tick when) {
+        const int id = next_id++;
+        const int pri = prios[rng() % 3];
+        eq.scheduleFn(when, [&fired, id] { fired.push_back(id); }, pri);
+        model.push_back({when, pri, seq++, id});
+    };
+    const auto cancel = [&](int i) {
+        std::erase_if(model, [i](const Ref &r) { return r.id == i; });
+        eq.deschedule(*events[i]);
+    };
+    const auto reschedule = [&](int i, Tick when) {
+        std::erase_if(model, [i](const Ref &r) { return r.id == i; });
+        model.push_back({when, events[i]->priority(), seq++, i});
+        eq.schedule(*events[i], when);
+    };
+    // Schedule at a hot tick, noting which level the entry lands in.
+    const auto hotShot = [&](Hot &h) {
+        const Tick ahead = h.when - eq.now();
+        if (ahead >= kTestFarSpan)
+            h.heap = true;
+        else if (ahead >= kTestWindow && ahead < kTestFarSpan - kTestWindow)
+            h.far = true;
+        oneShot(h.when);
+    };
+    // Move what the model says the queue executes next (up to @p count
+    // entries due by @p limit) into expected; returns the last tick.
+    const auto pop = [&](Tick limit, std::size_t count) {
+        std::sort(model.begin(), model.end(),
+                  [](const Ref &a, const Ref &b) {
+                      if (a.when != b.when)
+                          return a.when < b.when;
+                      if (a.pri != b.pri)
+                          return a.pri < b.pri;
+                      return a.seq < b.seq;
+                  });
+        Tick last = eq.now();
+        std::size_t n = 0;
+        for (; n < model.size() && n < count && model[n].when <= limit; ++n) {
+            expected.push_back(model[n].id);
+            last = model[n].when;
+        }
+        model.erase(model.begin(), model.begin() + static_cast<long>(n));
+        return last;
+    };
+    const auto runTo = [&](Tick limit) {
+        const Tick last = pop(limit, model.size());
+        EXPECT_EQ(eq.run(limit), last);
+    };
+    // A far-ring (or, rarely, heap) tick ahead of now().
+    const auto farTick = [&] {
+        return eq.now() + kTestWindow +
+               rng() % (kTestFarSpan - 2 * kTestWindow);
+    };
+
+    for (int op = 0; op < 8000; ++op) {
+        for (Hot &h : hot) {
+            if (h.when < eq.now()) {
+                hot_all_levels += h.heap && h.far && h.near;
+                h = freshHot();
+            }
+        }
+        const unsigned r = rng() % 100;
+        if (r < 14) {
+            oneShot(eq.now() + rng() % kTestWindow);
+        } else if (r < 26) {
+            oneShot(farTick());
+        } else if (r < 30) {
+            oneShot(eq.now() + kTestFarSpan + rng() % (2 * kTestFarSpan));
+        } else if (r < 40) {
+            hotShot(hot[rng() % kHot]);
+        } else if (r < 54) {
+            reschedule(static_cast<int>(rng() % kEvents), farTick());
+        } else if (r < 58) {
+            reschedule(static_cast<int>(rng() % kEvents),
+                       eq.now() + rng() % kTestWindow);
+        } else if (r < 64) {
+            cancel(static_cast<int>(rng() % kEvents));
+        } else if (r < 70) {
+            const bool any = !model.empty();
+            const Tick last = pop(MaxTick, 1);
+            ASSERT_EQ(eq.step(), any);
+            EXPECT_EQ(eq.now(), last);
+        } else if (r < 78) {
+            // Run into a hot tick's window through a marker entry due
+            // just before it, then tie onto the hot tick from the near
+            // buckets.
+            Hot &h = hot[rng() % kHot];
+            const Tick back = 1 + rng() % (kTestWindow / 4);
+            const Tick marker = std::max(eq.now(), h.when - back);
+            oneShot(marker);
+            runTo(marker);
+            if ((eq.now() >> 14) == (h.when >> 14))
+                h.near = true;
+            hotShot(h);
+            hotShot(h);
+        } else {
+            // Stop inside the span of later far windows, then schedule
+            // between now() and the next pending entry.
+            const Tick limit = eq.now() + rng() % (kTestFarSpan / 4);
+            runTo(limit);
+            oneShot(eq.now() + rng() % (limit - eq.now() + 1));
+        }
+        ASSERT_EQ(fired, expected) << "op " << op;
+        ASSERT_EQ(eq.pendingCount(), model.size()) << "op " << op;
+        ASSERT_LE(eq.staleCount(),
+                  std::max<std::size_t>(63, eq.pendingCount()))
+            << "op " << op;
+        if (op % 1000 == 999) {
+            // Churn: drain, then only far-chain reschedules, so stale
+            // entries pile up in the far ring and nowhere else.
+            runTo(MaxTick);
+            for (int c = 0; c < 600; ++c) {
+                reschedule(static_cast<int>(rng() % kEvents), farTick());
+                ASSERT_LE(eq.staleCount(),
+                          std::max<std::size_t>(63, eq.pendingCount()))
+                    << "churn " << c;
+            }
+            ASSERT_EQ(eq.pendingCount(), model.size());
+        }
+    }
+    runTo(MaxTick);
+    EXPECT_EQ(fired, expected);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.staleCount(), 0u);
+    // The drive covered what it claims: many ring wrap-arounds, and hot
+    // ticks with ties from all three levels.
+    EXPECT_GT(eq.now(), 8 * kTestFarSpan);
+    EXPECT_GT(hot_all_levels, 0);
 }
 
 TEST(ClockDomain, Conversions)

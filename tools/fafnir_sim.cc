@@ -34,7 +34,9 @@
  *   --fault-seed=7          deterministic fault-schedule seed
  * With a plan installed, lookup mode serves one engine through the
  * hardened ServiceGuard (--deadline-us, --max-attempts,
- * --retry-backoff-ns); the serving flags are rejected there.
+ * --retry-backoff-ns). Only the served path reads the tier flags
+ * (--serve-engines, --shards and the flags that shape them); every
+ * other run rejects them as a usage error.
  */
 
 #include <algorithm>
@@ -277,15 +279,13 @@ registerEngineStats(LookupEngine &engine, StatRegistry &registry)
 }
 
 /**
- * Lookup serving under an installed fault plan: the batch stream is
- * corrupted by whatever query hooks are armed, then served through a
- * ServiceGuard so faults surface as retries, timeouts, and tagged
- * partial results instead of wrong numbers (see docs/ROBUSTNESS.md).
- * The guard serves one engine at a time, so the serving flags, which
- * shape the tier, are rejected rather than silently ignored.
+ * The tier flags shape the served path only. For a run that is not
+ * served (@p why says why), print a usage error naming every tier flag
+ * set away from its default and return true; return false when none
+ * is set.
  */
-int
-runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
+bool
+rejectIgnoredTierFlags(const Options &opt, const char *why)
 {
     const Options defaults;
     std::string ignored;
@@ -301,15 +301,25 @@ runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
     note(opt.dispatch != defaults.dispatch, "--dispatch");
     note(opt.hedgePct != defaults.hedgePct, "--hedge-pct");
     note(opt.placement != defaults.placement, "--placement");
-    if (!ignored.empty()) {
-        std::fprintf(stderr,
-                     "error: --faults serves a single engine through the "
-                     "guard, which would ignore %s\n"
-                     "run with --help for usage\n",
-                     ignored.c_str());
-        return 2;
-    }
+    if (ignored.empty())
+        return false;
+    std::fprintf(stderr,
+                 "error: %s, which would ignore %s\n"
+                 "run with --help for usage\n",
+                 why, ignored.c_str());
+    return true;
+}
 
+/**
+ * Lookup serving under an installed fault plan: the batch stream is
+ * corrupted by whatever query hooks are armed, then served through a
+ * ServiceGuard so faults surface as retries, timeouts, and tagged
+ * partial results instead of wrong numbers (see docs/ROBUSTNESS.md).
+ * The guard serves one engine at a time, so it takes no tier flags.
+ */
+int
+runGuardedLookup(const Options &opt, telemetry::TelemetrySession &session)
+{
     telemetry::RunReport &run = session.report();
     EventQueue eq;
     const core::ReplicaMemoryConfig mem = memoryConfig(opt);
@@ -1061,19 +1071,31 @@ main(int argc, char **argv)
         report.setConfig("nnzPerRow", opt.nnzPerRow);
     }
 
+    // Only the served path reads the tier flags; every other run
+    // rejects them rather than silently running without them.
     if (opt.mode == "lookup") {
         // With a fault plan installed, serving runs behind the guard so
         // injected faults surface as recovery actions, not bad numbers.
-        if (instruments().faults != nullptr)
+        if (instruments().faults != nullptr) {
+            if (rejectIgnoredTierFlags(
+                    opt, "--faults serves a single engine through the guard"))
+                return 2;
             return runGuardedLookup(opt, session);
+        }
         if (opt.serveEngines > 0 || opt.shards > 0)
             return runServedLookup(opt, session);
+        if (rejectIgnoredTierFlags(opt, "without --serve-engines or "
+                                        "--shards the lookup is not served"))
+            return 2;
         return runLookup(opt, session);
     }
-    if (opt.mode == "spmv")
-        return runSpmv(opt, session);
-    if (opt.mode == "sptrsv")
-        return runSptrsv(opt, session);
+    if (opt.mode == "spmv" || opt.mode == "sptrsv") {
+        if (rejectIgnoredTierFlags(opt, "--mode=spmv and --mode=sptrsv "
+                                        "serve no lookups"))
+            return 2;
+        return opt.mode == "spmv" ? runSpmv(opt, session)
+                                  : runSptrsv(opt, session);
+    }
     std::fprintf(stderr,
                  "error: unknown --mode '%s'\nrun with --help for usage\n",
                  opt.mode.c_str());
